@@ -206,7 +206,7 @@ class CorpusSummary:
         return self.trichotomy_violations + self.even_determinants + self.order_two_covers
 
 
-def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP, workers=1):
+def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP):
     """Analyze every corpus row; per-row failures are recorded, not fatal."""
 
     def run_row(row):
@@ -224,13 +224,7 @@ def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP, workers=1):
         ) as exc:
             return CoverReport(rname, error=f"{type(exc).__name__}: {exc}")
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_row, rows))
-    else:
-        reports = [run_row(row) for row in rows]
+    reports = [run_row(row) for row in rows]
     reports.sort(key=lambda r: r.name)
     summary = CorpusSummary(
         reports=reports,

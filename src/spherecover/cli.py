@@ -245,9 +245,7 @@ def cmd_corpus_run(args, config, out):
                 fresh_rows.append(row)
     else:
         fresh_rows = rows
-    summary = analyzer.run_corpus(
-        fresh_rows, coset_cap=config.coset_cap, workers=config.workers
-    )
+    summary = analyzer.run_corpus(fresh_rows, coset_cap=config.coset_cap)
     payload_of = {r[0]: (r[2], r[1]) for r in rows}
     for report in summary.reports:
         rec = report.to_record(config.show_timing)
@@ -290,7 +288,6 @@ def _common_options():
     common.add_argument("--group-cap", type=int, dest="group_cap")
     common.add_argument("--cache", dest="cache_path", help="result cache directory")
     common.add_argument("--corpus", dest="corpus_path", help="corpus file override")
-    common.add_argument("--workers", type=int, dest="workers")
     common.add_argument("--seed", type=int, dest="seed")
     common.add_argument("--timings", action="store_true", dest="show_timing")
     return common
@@ -365,7 +362,6 @@ def main(argv=None, out=None, err=None):
             "group_cap",
             "cache_path",
             "corpus_path",
-            "workers",
             "seed",
             "show_timing",
         )

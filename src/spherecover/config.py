@@ -15,24 +15,20 @@ class RunConfig:
     coset_cap: int = 200_000
     group_cap: int = 100_000
     tol_grid: float = 1e-12
-    tol_minimize: float = 1e-6
     tol_oracle: float = 1e-3
     corpus_path: str | None = None  # None: packaged corpus
     cache_path: str | None = None  # None: caching disabled
     output_format: str = "table"  # table | json | csv
     seed: int = 0
-    workers: int = 1
     show_timing: bool = False
 
     def validate(self):
         if self.coset_cap < 1 or self.group_cap < 1:
             raise ValueError("caps must be >= 1")
-        if min(self.tol_grid, self.tol_minimize, self.tol_oracle) <= 0:
+        if min(self.tol_grid, self.tol_oracle) <= 0:
             raise ValueError("tolerances must be positive")
         if self.output_format not in ("table", "json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         return self
 
 

@@ -1,36 +1,89 @@
-"""Finite group engine over exact elements.
+"""Finite group engine on the right Cayley table.
 
-Groups are materialized as explicit element lists produced by
-breadth-first closure of a generating set, with an index-based
-multiplication cache so that conjugacy classes, normal closures, derived
-series and abelianizations run on integers rather than on the (expensive)
-exact elements.  The same engine drives quaternionic rotation groups and
-the permutation groups extracted from coset tables.
+A group is stored as what breadth-first closure of a generating set
+computes anyway: its elements in discovery order (identity first), the
+right Cayley table ``right[s][x] = x * s`` for every generator ``s``, and
+the spanning tree of the search, ``x = parent[x] * gen[x]``.  Left
+multiplication by the generators and all inverses follow along the tree
+in one pass, so products, conjugation, conjugacy classes, normal
+closures, derived series and abelianizations run on integers only.
+Exact elements are multiplied only while the table is built; afterwards
+they serve geometry and membership lookups.  The same engine drives
+quaternionic rotation groups and the groups read off coset tables.
 """
 
 from __future__ import annotations
 
+import math
+
 from . import quaternions as qt
-from .errors import CapExceeded, NotMember, WrongAmbient
-from .linalg import AbelianGroup
+from .errors import CapExceeded, InternalInconsistency, NotMember, WrongAmbient
+from .linalg import cokernel
 
 DEFAULT_GROUP_CAP = 100_000
 
 
 class FiniteGroup:
-    """A finite group as an explicit closed element list with generators."""
+    """A finite group as its element list, right Cayley table and BFS tree."""
 
-    def __init__(self, elements, gens_idx, identity_idx):
+    identity_idx = 0
+
+    def __init__(self, elements, right, parent, gen):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self.gens_idx = list(gens_idx)
-        self.identity_idx = identity_idx
-        self._mul_cache = {}
-        self._inv_cache = {}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements in group construction")
+        self.right = right
+        self.parent = parent
+        self.gen = gen
+        n = len(self.elements)
+        # s * (p * t) = (s * p) * t: left columns follow the tree
+        self.left = []
+        for col in right:
+            lcol = [col[0]] * n
+            for x in range(1, n):
+                lcol[x] = right[gen[x]][lcol[parent[x]]]
+            self.left.append(lcol)
+        # (p * t)^-1 = t^-1 * p^-1, with t^-1 * y read off the inverted left column
+        linv = []
+        for lcol in self.left:
+            icol = [0] * n
+            for x, y in enumerate(lcol):
+                icol[y] = x
+            linv.append(icol)
+        self.inverse = [0] * n
+        for x in range(1, n):
+            self.inverse[x] = linv[gen[x]][self.inverse[parent[x]]]
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def closure(cls, identity, ngens, product, cap):
+        """Breadth-first closure of ``identity`` under ``product(label, s)``.
+
+        Labels are any hashable stand-ins for the elements; generator ``s``
+        becomes column ``s`` of the right Cayley table.
+        """
+        index = {identity: 0}
+        labels = [identity]
+        parent, gen = [-1], [-1]
+        right = [[] for _ in range(ngens)]
+        x = 0
+        while x < len(labels):
+            label = labels[x]
+            for s, col in enumerate(right):
+                p = product(label, s)
+                j = index.get(p)
+                if j is None:
+                    if len(labels) >= cap:
+                        raise CapExceeded(cap)
+                    j = index[p] = len(labels)
+                    labels.append(p)
+                    parent.append(x)
+                    gen.append(s)
+                col.append(j)
+            x += 1
+        return cls(labels, right, parent, gen)
 
     @classmethod
     def generate(cls, gens, cap=DEFAULT_GROUP_CAP, identity=None):
@@ -42,31 +95,18 @@ class FiniteGroup:
             if not gens:
                 raise ValueError("need generators or an explicit identity")
             identity = gens[0] * gens[0].inverse()
-        index = {identity: 0}
-        elements = [identity]
-        queue = [identity]
-        step = 0
-        while step < len(queue):
-            e = queue[step]
-            step += 1
-            for g in gens:
-                p = e * g
-                if p not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded(cap)
-                    index[p] = len(elements)
-                    elements.append(p)
-                    queue.append(p)
-        gens_idx = [index[g] for g in gens if g in index]
-        return cls(elements, gens_idx, 0)
+        return cls.closure(identity, len(gens), lambda e, s: e * gens[s], cap)
 
-    @classmethod
-    def from_elements(cls, elements, gens, identity):
-        """Wrap an element list already known to be closed (e.g. a group image)."""
-        group = cls(list(elements), [], 0)
-        group.identity_idx = group.index[identity]
-        group.gens_idx = [group.index[g] for g in gens]
-        return group
+    def subgroup(self, idxs):
+        """The subgroup generated by ``idxs`` as a group in its own right.
+
+        Only the generators that enlarge the closure are kept; the new
+        group's elements are their indices in this one.
+        """
+        _, kept = self._closure_incremental(idxs)
+        return FiniteGroup.closure(
+            self.identity_idx, len(kept), lambda x, s: self.imul(x, kept[s]), len(self)
+        )
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -77,37 +117,23 @@ class FiniteGroup:
     def order(self):
         return len(self.elements)
 
+    @property
+    def gens_idx(self):
+        return [col[self.identity_idx] for col in self.right]
+
     def __contains__(self, element):
         return element in self.index
 
     def imul(self, i, j):
-        key = (i, j)
-        k = self._mul_cache.get(key)
-        if k is None:
-            product = self.elements[i] * self.elements[j]
-            k = self.index.get(product)
-            if k is None:
-                raise NotMember("product escaped the element set; group not closed")
-            self._mul_cache[key] = k
-        return k
+        # i = parent[i] * gen[i], so i * j = parent[i] * (gen[i] * j)
+        left, parent, gen = self.left, self.parent, self.gen
+        while i:
+            j = left[gen[i]][j]
+            i = parent[i]
+        return j
 
     def iinv(self, i):
-        k = self._inv_cache.get(i)
-        if k is None:
-            inv = self.elements[i].inverse()
-            k = self.index.get(inv)
-            if k is None:
-                raise NotMember("inverse escaped the element set; group not closed")
-            self._inv_cache[i] = k
-        return k
-
-    def element_order(self, i):
-        n = 1
-        cur = i
-        while cur != self.identity_idx:
-            cur = self.imul(cur, i)
-            n += 1
-        return n
+        return self.inverse[i]
 
     def _as_index(self, g):
         if isinstance(g, int):
@@ -122,22 +148,36 @@ class FiniteGroup:
     # -- subgroup machinery ---------------------------------------------------
 
     def _check_lagrange(self, idxs):
-        assert len(self) % len(idxs) == 0, "subgroup order must divide group order"
+        if len(self) % len(idxs):
+            raise InternalInconsistency(
+                f"subgroup order {len(idxs)} does not divide group order {len(self)}"
+            )
         return idxs
+
+    def _conjugation_closure(self, seed, by=None):
+        """Close a set of indices, in place, under x -> g^-1 x g for g in ``by``.
+
+        By default g runs over the generators, where conjugation is four
+        table lookups: s^-1 x s = ((x^-1 s)^-1) s.
+        """
+        inverse = self.inverse
+        if by is None:
+            maps = [lambda x, c=col: c[inverse[c[inverse[x]]]] for col in self.right]
+        else:
+            maps = [lambda x, g=g: self.imul(self.imul(inverse[g], x), g) for g in by]
+        queue = list(seed)
+        while queue:
+            x = queue.pop()
+            for conj in maps:
+                y = conj(x)
+                if y not in seed:
+                    seed.add(y)
+                    queue.append(y)
+        return seed
 
     def conjugacy_class(self, g):
         """Orbit of g under conjugation, as a sorted tuple of indices."""
-        start = self._as_index(g)
-        seen = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for gi in self.gens_idx:
-                y = self.imul(self.imul(gi, x), self.iinv(gi))
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return tuple(sorted(seen))
+        return tuple(sorted(self._conjugation_closure({self._as_index(g)})))
 
     def conjugacy_classes(self):
         remaining = set(range(len(self)))
@@ -181,54 +221,32 @@ class FiniteGroup:
 
     def normal_closure(self, idxs):
         """Smallest normal subgroup containing the given elements/indices."""
-        seed = {self._as_index(i) for i in idxs}
-        # close under conjugation by generators first ...
-        queue = list(seed)
-        while queue:
-            x = queue.pop()
-            for gi in self.gens_idx:
-                y = self.imul(self.imul(gi, x), self.iinv(gi))
-                if y not in seed:
-                    seed.add(y)
-                    queue.append(y)
-        # ... the subgroup generated by a conjugation-closed set is normal
+        seed = self._conjugation_closure({self._as_index(i) for i in idxs})
+        # the subgroup generated by a conjugation-closed set is normal
         return self.subgroup_closure(seed)
 
     def small_generating_set(self, idxs):
         """Greedy small generating subset of a subgroup's element list."""
         members, kept = self._closure_incremental(idxs)
-        expected = {self._as_index(i) for i in idxs} | {self.identity_idx}
-        assert members == expected, "input was not a subgroup"
+        if members != {self._as_index(i) for i in idxs} | {self.identity_idx}:
+            raise InternalInconsistency("input was not a subgroup")
         return kept or [self.identity_idx]
 
     def derived_subgroup(self, sub=None):
-        """Commutator subgroup, via normal closure of generator commutators."""
-        if sub is None:
-            gen_idxs = list(self.gens_idx)
-            conjugators = list(self.gens_idx)
-        else:
-            gen_idxs = self.small_generating_set(sub)
-            conjugators = gen_idxs
-        commutators = set()
-        for a in gen_idxs:
-            for b in gen_idxs:
-                c = self.imul(
-                    self.imul(a, b), self.imul(self.iinv(a), self.iinv(b))
-                )
-                commutators.add(c)
-        # normal closure inside the subgroup generated by gen_idxs
-        queue = list(commutators)
-        while queue:
-            x = queue.pop()
-            for gi in conjugators:
-                y = self.imul(self.imul(gi, x), self.iinv(gi))
-                if y not in commutators:
-                    commutators.add(y)
-                    queue.append(y)
-        result = self.subgroup_closure(commutators)
-        for gi in conjugators:
-            for x in result:
-                assert self.imul(self.imul(gi, x), self.iinv(gi)) in set(result)
+        """Commutator subgroup of G, or of the subgroup ``sub``."""
+        gens = self.gens_idx if sub is None else self.small_generating_set(sub)
+        by = None if sub is None else gens
+        inverse = self.inverse
+        commutators = {
+            self.imul(self.imul(a, b), self.imul(inverse[a], inverse[b]))
+            for a in gens
+            for b in gens
+        }
+        # normal closure inside the subgroup generated by gens
+        result = self.subgroup_closure(self._conjugation_closure(commutators, by))
+        members = set(result)
+        if self._conjugation_closure(set(members), by) != members:
+            raise InternalInconsistency("derived subgroup is not normal")
         return result
 
     def derived_series(self):
@@ -251,37 +269,27 @@ class FiniteGroup:
     def is_perfect(self):
         return len(self.derived_subgroup()) == len(self)
 
-    def abelianization(self, sub=None):
-        """Invariant factors of G/[G,G] by maximal-order extraction."""
-        if sub is None:
-            sub = tuple(range(len(self)))
-        derived = set(self.derived_subgroup(sub if len(sub) != len(self) else None))
-        total = list(sub)
-        kernel = set(derived)
-        factors = []
-        while len(kernel) < len(total):
-            best_e, best_o = None, 1
-            for e in total:
-                if e in kernel:
-                    continue
-                o = 1
-                cur = e
-                while cur not in kernel:
-                    cur = self.imul(cur, e)
-                    o += 1
-                if o > best_o:
-                    best_e, best_o = e, o
-            factors.append(best_o)
-            new_kernel = set()
-            cur = self.identity_idx
-            for _ in range(best_o):
-                new_kernel.update(self.imul(cur, s) for s in kernel)
-                cur = self.imul(cur, best_e)
-            kernel = new_kernel
-        factors.reverse()
-        for a, b in zip(factors, factors[1:]):
-            assert b % a == 0, "abelian invariant chain violated"
-        return AbelianGroup.from_factors(factors)
+    def abelianization(self):
+        """G/[G,G] as the cokernel of the Schreier relators of the Cayley graph.
+
+        With w(x) the tree word of x, every edge (x, s) gives the relator
+        w(x) s w(xs)^-1.  These generate the relation module of the
+        generators, so their exponent-sum rows present G/[G,G] exactly.
+        """
+        ngens = len(self.right)
+        counts = [(0,) * ngens]
+        for x in range(1, len(self)):
+            row = list(counts[self.parent[x]])
+            row[self.gen[x]] += 1
+            counts.append(tuple(row))
+        rows = set()
+        for s, col in enumerate(self.right):
+            for x, y in enumerate(col):
+                row = [a - b for a, b in zip(counts[x], counts[y])]
+                row[s] += 1
+                if any(row):
+                    rows.add(tuple(row))
+        return cokernel(sorted(rows), ngens)
 
 
 # -- rotation groups --------------------------------------------------------------
@@ -290,53 +298,73 @@ class FiniteGroup:
 class FiniteRotationGroup(FiniteGroup):
     """Finite subgroup of Spin(4) or SO(4) with generator provenance."""
 
-    def __init__(self, elements, gens_idx, identity_idx, ambient):
-        super().__init__(elements, gens_idx, identity_idx)
-        self.ambient = ambient  # "spin4" | "so4"
+    @property
+    def ambient(self):
+        return "so4" if isinstance(self.elements[0], qt.RotationClass) else "spin4"
 
     @classmethod
     def generate_rotations(cls, gens, cap=DEFAULT_GROUP_CAP):
-        import math
-
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
-        ambient = "so4" if isinstance(gens[0], qt.RotationClass) else "spin4"
         # One conductor per group: element hashes are conductor-scoped, so the
         # closure must never mix representations of the same value.
         conductor = math.lcm(*(g.conductor() for g in gens))
         gens = [g.lift(conductor) for g in gens]
-        identity = (
-            qt.RotationClass(qt.spin_identity())
-            if ambient == "so4"
-            else qt.spin_identity()
-        ).lift(conductor)
-        base = FiniteGroup.generate(gens, cap=cap, identity=identity)
-        group = cls(base.elements, base.gens_idx, base.identity_idx, ambient)
-        return group
+        identity = qt.spin_identity()
+        if isinstance(gens[0], qt.RotationClass):
+            identity = qt.RotationClass(identity)
+        return cls.generate(gens, cap=cap, identity=identity.lift(conductor))
 
     def generators(self):
         return [self.elements[i] for i in self.gens_idx]
 
     def to_so4(self):
-        """Image in SO(4); the image of a closed set is closed, no re-closure."""
+        """Image in SO(4): each element is paired with its product by -1.
+
+        Classes keep the order of their first member, and the table and
+        tree are the Spin-level ones read through the pairing.
+        """
         if self.ambient == "so4":
             return self
-        seen = {}
-        for e in self.elements:
-            rc = qt.RotationClass(e)
-            seen.setdefault(rc, None)
-        elements = list(seen)
-        identity = qt.RotationClass(self.elements[self.identity_idx])
-        gens = []
-        for gi in self.gens_idx:
-            rc = qt.RotationClass(self.elements[gi])
-            if rc not in gens and not rc.is_identity():
-                gens.append(rc)
-        group = FiniteRotationGroup(elements, [], 0, "so4")
-        group.identity_idx = group.index[identity]
-        group.gens_idx = [group.index[g] for g in gens]
-        return group
+        minus = self.index.get(-self.elements[self.identity_idx])
+        image = [None] * len(self)
+        reps = []
+        for x in range(len(self)):
+            if image[x] is None:
+                image[x] = len(reps)
+                if minus is not None:
+                    image[self.imul(x, minus)] = len(reps)
+                reps.append(x)
+        right = [[image[col[x]] for x in reps] for col in self.right]
+        parent = [-1] + [image[self.parent[x]] for x in reps[1:]]
+        gen = [-1] + [self.gen[x] for x in reps[1:]]
+        elements = [qt.RotationClass(self.elements[x]) for x in reps]
+        return FiniteRotationGroup(elements, right, parent, gen)
+
+    def coset_extension(self, t):
+        """H with its coset H t, or None unless t normalizes H, t^2 is in H and t is not.
+
+        Besides the coset elements themselves, only the conjugates t s t^-1
+        of the generators and t^2 are exact products: the coset's table
+        follows from (h t) s = (h t s t^-1) t and (h t) t = h t^2.
+        """
+        t_inv = t.inverse()
+        conj = [self.index.get(t * g * t_inv) for g in self.generators()]
+        square = self.index.get(t * t)
+        if None in conj or square is None or t in self.index:
+            return None
+        n = len(self)
+        coset = range(n)
+        right = [
+            col + [n + self.imul(x, c) for x in coset]
+            for col, c in zip(self.right, conj)
+        ]
+        right.append([n + x for x in coset] + [self.imul(x, square) for x in coset])
+        parent = self.parent + list(coset)
+        gen = self.gen + [len(self.right)] * n
+        elements = self.elements + [e * t for e in self.elements]
+        return FiniteRotationGroup(elements, right, parent, gen)
 
     def acts_freely(self):
         """(True, None) iff no non-identity rotation fixes a point of S^3.
@@ -368,8 +396,6 @@ class FiniteRotationGroup(FiniteGroup):
                 left_count += 1
             if e.left == one:
                 right_count += 1
-        import math
-
         return left_count, right_count, math.gcd(left_count, right_count)
 
 
@@ -386,4 +412,3 @@ def quaternion_group_q8():
     i = qt.Spin4Element(qt.quat_i(), qt.quat_one())
     j = qt.Spin4Element(qt.quat_j(), qt.quat_one())
     return generate_group([i, j], cap=32)
-

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InternalInconsistency
+
 
 # -- abelian group invariants --------------------------------------------------
 
@@ -272,7 +274,8 @@ def smith_normal_form(rows, ncols=None):
         if t >= m or t >= n:
             break
     for x, y in zip(diags, diags[1:]):
-        assert y % x == 0, "invariant factor chain violated"
+        if y % x:
+            raise InternalInconsistency(f"invariant factor chain broken: {x}, {y}")
     return diags
 
 

@@ -6,19 +6,19 @@ relator, gaps are filled by defining new cosets, and coincidences are
 merged through a union-find with table migration.  A completed table is
 certified post hoc -- all relators trace to the identity from every coset
 and the action is transitive -- before an order is reported; hitting the
-coset cap yields an Inconclusive outcome, never a guess.
+coset cap yields a table without an order, never a guess.
 
 The double-branched-cover group of a knot is the index-2 kernel of the
 meridian parity map on the orbifold quotient (knot group modulo meridian
-squares), extracted from the regular permutation action of the completed
-table.
+squares).  A completed table is the right Cayley table of the orbifold
+group, so the kernel is closed straight from it, on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotIndexTwo, ValidationError
+from .errors import InternalInconsistency, NotIndexTwo, ValidationError
 from .groups import FiniteGroup
 from .linalg import cokernel
 
@@ -127,37 +127,21 @@ def abelianize(pres):
 # -- coset enumeration -------------------------------------------------------------
 
 
-@dataclass
-class CosetTable:
-    """Completed or capped enumeration state over the trivial subgroup."""
-
-    ngens: int
-    status: str  # "complete" | "capped"
-    order: int | None
-    perms: tuple | None  # per generator: tuple of images on 0..order-1
-    cap: int
-
-    def is_complete(self):
-        return self.status == "complete"
-
-
 @dataclass(frozen=True)
-class EnumerationOutcome:
-    """Finite order with its regular action, or inconclusive at the cap."""
+class CosetTable:
+    """Regular action of a completed enumeration, or the cap it hit.
 
-    table: CosetTable
+    ``perms[g][c]`` is the coset of c times generator g; a capped
+    enumeration has neither ``order`` nor ``perms``.
+    """
+
+    cap: int
+    order: int | None = None
+    perms: tuple | None = None
 
     @property
     def finite(self):
-        return self.table.is_complete()
-
-    @property
-    def order(self):
-        return self.table.order
-
-    @property
-    def perms(self):
-        return self.table.perms
+        return self.perms is not None
 
 
 class _Enumerator:
@@ -279,7 +263,6 @@ class _Enumerator:
         self.table = new_table
         self.p = list(range(len(live)))
         self.dead = 0
-        return remap
 
     def run(self):
         alpha = 0
@@ -300,9 +283,8 @@ class _Enumerator:
             except _TableFull:
                 before = self.n_live
                 self._lookahead()
-                remap = self._compact()
+                self._compact()
                 alpha = 0  # renumbered; completed rows rescan cheaply
-                del remap
                 if self.n_live >= self.cap or before - self.n_live < max(
                     16, before // 20
                 ):
@@ -311,7 +293,7 @@ class _Enumerator:
         return self._complete()
 
     def _capped(self):
-        return CosetTable(self.ngens, "capped", None, None, self.cap)
+        return CosetTable(self.cap)
 
     def _complete(self):
         order = len(self.table)
@@ -319,8 +301,9 @@ class _Enumerator:
         for g in range(self.ngens):
             col = 2 * g
             perms.append(tuple(self.table[i][col] for i in range(order)))
-        table = CosetTable(self.ngens, "complete", order, tuple(perms), self.cap)
-        assert certify_table(table, self.relators_signed()), "uncertified table"
+        table = CosetTable(self.cap, order, tuple(perms))
+        if not certify_table(table, self.relators_signed()):
+            raise InternalInconsistency("completed coset table fails its certificate")
         return table
 
     def relators_signed(self):
@@ -336,7 +319,7 @@ class _TableFull(Exception):
 
 def certify_table(table, relators):
     """Closed-table certificate: bijectivity, transitivity, relator identity."""
-    if not table.is_complete():
+    if not table.finite:
         return False
     n = table.order
     perms = table.perms
@@ -374,47 +357,18 @@ def todd_coxeter(pres, cap=DEFAULT_COSET_CAP):
     """Enumerate cosets of the trivial subgroup; deterministic HLT strategy."""
     if cap < 1:
         raise ValidationError("coset cap must be >= 1")
-    return EnumerationOutcome(_Enumerator(pres, cap).run())
+    return _Enumerator(pres, cap).run()
 
 
-# -- permutations and cover extraction ----------------------------------------------
+# -- groups read off coset tables -----------------------------------------------------
 
 
-class Perm:
-    """Permutation composed left-to-right, matching a right coset action."""
-
-    __slots__ = ("images", "_hash")
-
-    def __init__(self, images):
-        self.images = tuple(images)
-        self._hash = None
-
-    def __mul__(self, other):
-        oi = other.images
-        return Perm(tuple(oi[i] for i in self.images))
-
-    def inverse(self):
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Perm(inv)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(range(n))
-
-    def __eq__(self, other):
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
-
-    def __repr__(self):
-        return f"Perm{self.images}"
+def regular_group(table):
+    """The enumerated group itself: a completed table is its right Cayley table."""
+    if not table.finite:
+        raise ValidationError("a group needs a completed enumeration")
+    perms = table.perms
+    return FiniteGroup.closure(0, len(perms), lambda c, g: perms[g][c], table.order)
 
 
 def parity_classes(outcome):
@@ -436,27 +390,21 @@ def parity_classes(outcome):
     return color
 
 
-def branched_cover_group(outcome, group_cap=None):
-    """Index-2 kernel of the meridian parity map as a permutation group.
+def branched_cover_group(outcome):
+    """Index-2 kernel of the meridian parity map, closed on integers.
 
-    Returns (order, FiniteGroup of permutations).  The kernel is generated
-    by the Schreier elements g_i * t^-1 and t * g_i over the transversal
-    {identity, t}, with t the image of the first generator.
+    Returns (order, FiniteGroup).  The kernel is generated by the Schreier
+    elements g * t^-1 and t * g over the transversal {identity, t}, with t
+    the first generator; only those that enlarge it are kept.
     """
-    if not outcome.finite:
-        raise ValidationError("cover extraction requires a completed enumeration")
-    color = parity_classes(outcome)
-    if color is None:
+    group = regular_group(outcome)
+    if parity_classes(outcome) is None:
         raise NotIndexTwo("meridian parity map is not onto Z/2")
-    n = outcome.order
-    perms = [Perm(p) for p in outcome.perms]
-    t = perms[0]
-    t_inv = t.inverse()
-    gens = []
-    for g in perms:
-        for cand in (g * t_inv, t * g):
-            if cand not in gens:
-                gens.append(cand)
-    group = FiniteGroup.generate(gens, cap=group_cap or max(2, n), identity=Perm.identity(n))
-    assert group.order * 2 == n, "kernel must have index two"
-    return group.order, group
+    gens = group.gens_idx
+    t = gens[0]
+    t_inv = group.iinv(t)
+    schreier = [x for g in gens for x in (group.imul(g, t_inv), group.imul(t, g))]
+    kernel = group.subgroup(schreier)
+    if 2 * len(kernel) != len(group):
+        raise InternalInconsistency("parity kernel must have index two")
+    return len(kernel), kernel

@@ -117,28 +117,9 @@ class SpaceFormCertificate:
 
     def extension_spin(self, cap=DEFAULT_SPACEFORM_CAP):
         if self.gamma_hat is None:
-            iota = self.iota_hat
-            inv = iota.inverse()
-            normalizes = all(
-                (iota * g * inv) in self.pi_hat for g in self.pi_hat.generators()
-            )
-            if normalizes and (iota * iota) in self.pi_hat and iota not in self.pi_hat:
-                # proven coset extension: the union of the group with its
-                # iota-coset is closed, no breadth-first search needed
-                elements = list(self.pi_hat.elements)
-                elements.extend(e * iota for e in self.pi_hat.elements)
-                group = FiniteRotationGroup(elements, [], 0, "spin4")
-                identity = self.pi_hat.elements[self.pi_hat.identity_idx]
-                group.identity_idx = group.index[identity]
-                gens = list(self.pi_hat.generators()) + [iota]
-                seen = []
-                for g in gens:
-                    idx = group.index[g]
-                    if idx not in seen:
-                        seen.append(idx)
-                group.gens_idx = seen
-                self.gamma_hat = group
-            else:  # pragma: no cover - defensive fallback
+            # a proven coset extension needs no breadth-first search
+            self.gamma_hat = self.pi_hat.coset_extension(self.iota_hat)
+            if self.gamma_hat is None:  # pragma: no cover - defensive fallback
                 gens = self.pi_hat.generators() + [self.iota_hat]
                 self.gamma_hat = generate_group(gens, cap=cap)
         return self.gamma_hat
@@ -292,11 +273,10 @@ def involution_uniqueness_scan(cert, candidates=None, cap=DEFAULT_SPACEFORM_CAP)
     statement for the branch involution.
     """
     gamma = cert.extension_so4(cap=cap)
-    pi_elements = set(cert.pi.index)
     if candidates is None:
         candidates = []
         for i, e in enumerate(gamma.elements):
-            if i == gamma.identity_idx or e in pi_elements:
+            if i == gamma.identity_idx or e in cert.pi:
                 continue
             if (e * e).is_identity() and qt.fixed_set(e).kind == "circle":
                 candidates.append(e)
@@ -306,6 +286,7 @@ def involution_uniqueness_scan(cert, candidates=None, cap=DEFAULT_SPACEFORM_CAP)
                 raise SpecViolation(f"candidate {e!r} is not in the extension")
             if not (e * e).is_identity() or qt.fixed_set(e).kind != "circle":
                 raise SpecViolation(f"candidate {e!r} is not a circle-fixing involution")
+    wanted = set(candidates)
     parts = []
     assigned = {}
     for e in candidates:
@@ -313,7 +294,7 @@ def involution_uniqueness_scan(cert, candidates=None, cap=DEFAULT_SPACEFORM_CAP)
         if idx in assigned:
             continue
         cls = gamma.conjugacy_class(idx)
-        members = [gamma.elements[i] for i in cls if gamma.elements[i] in set(candidates)]
+        members = [gamma.elements[i] for i in cls if gamma.elements[i] in wanted]
         for i in cls:
             assigned[i] = len(parts)
         parts.append(members)

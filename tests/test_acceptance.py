@@ -133,6 +133,11 @@ def test_acceptance_6_spaceform_sweep():
         elif spec.family == sf.ICOSAHEDRAL:
             assert cert.pi_hat.order == 240 * spec.m
             assert cert.pi.order == 120 * spec.m
+        # closed forms: Z/m, except that the tetrahedral family adds a 3-part
+        if spec.family == sf.TETRAHEDRAL:
+            assert cert.abelianization.order() == 3 ** max(spec.k, 1) * spec.m
+        else:
+            assert cert.abelianization == la.AbelianGroup.from_factors([spec.m])
     # negative control: an even-order cyclic group has 2-torsion and the
     # certificate must say so with a witness, not pass silently
     bad = sf.build(sf.SpaceFormSpec(sf.CYCLIC, m=4, p=1), allow_invalid=True)

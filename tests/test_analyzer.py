@@ -5,7 +5,6 @@ from spherecover import knots as kn
 from spherecover import presentations as pr
 from spherecover.config import packaged_corpus_text
 from spherecover.errors import ParseError, UnclassifiedFiniteGroup
-from spherecover.groups import FiniteGroup
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -62,10 +61,7 @@ def test_torus_two_strand_family_cyclic():
 
 
 def test_classify_finite_named_groups():
-    def cyclic_perm(n):
-        return pr.Perm(tuple((i + 1) % n for i in range(n)))
-
-    c7 = FiniteGroup.generate([cyclic_perm(7)], cap=10, identity=pr.Perm.identity(7))
+    c7 = pr.regular_group(pr.todd_coxeter(pr.GroupPresentation.make(1, [(1,) * 7]), 10))
     assert an.classify_finite(c7) == (an.CYCLIC, 7)
 
     d = kn.braid_to_diagram(kn.torus_knot(3, 4))
@@ -80,12 +76,10 @@ def test_classify_finite_named_groups():
 
 
 def test_classify_rejects_unexpected_group():
-    # S3 x S3-style primitive: solvable would be fine, but a non-120 perfect
-    # core must surface loudly; A5 as permutations is such a group
-    a5_gens = [pr.Perm((1, 2, 0, 3, 4)), pr.Perm((0, 1, 3, 4, 2)) ]
-    a5 = FiniteGroup.generate(
-        [a5_gens[0] * a5_gens[1]] + a5_gens, cap=100, identity=pr.Perm.identity(5)
-    )
+    # solvable would be fine, but a non-120 perfect core must surface
+    # loudly; A5 = <a, b | a^2, b^3, (ab)^5> is such a group
+    a5_pres = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2) * 5])
+    a5 = pr.regular_group(pr.todd_coxeter(a5_pres, 1000))
     assert a5.order == 60
     with pytest.raises(UnclassifiedFiniteGroup):
         an.classify_finite(a5)
@@ -173,16 +167,3 @@ def test_montesinos_single_fraction_same_cover_group_order():
         assert via_tangles.cover_order == via_plat.cover_order
         assert via_tangles.classification == via_plat.classification
 
-
-def test_run_corpus_workers_agree_with_serial():
-    rows = [
-        ("trefoil", "pd", TREFOIL_PD),
-        ("fig8", "dt", "4 6 8 2"),
-        ("b93", "twobridge", "9 2"),
-        ("t34", "torus", "3 4"),
-    ]
-    serial = an.run_corpus(rows, workers=1)
-    pooled = an.run_corpus(rows, workers=3)
-    assert [r.to_record() for r in serial.reports] == [
-        r.to_record() for r in pooled.reports
-    ]

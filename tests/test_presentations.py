@@ -2,7 +2,7 @@ import pytest
 
 from spherecover import knots as kn
 from spherecover import presentations as pr
-from spherecover.errors import NotIndexTwo, ValidationError
+from spherecover.errors import InternalInconsistency, NotIndexTwo, ValidationError
 from spherecover.linalg import cokernel
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
@@ -89,16 +89,22 @@ def test_todd_coxeter_cyclic():
 def test_todd_coxeter_free_group_inconclusive():
     out = pr.todd_coxeter(pr.GroupPresentation.make(2, []), 1000)
     assert not out.finite
-    assert out.table.cap == 1000
+    assert out.cap == 1000
 
 
 def test_completed_tables_are_certified():
     pres = pr.GroupPresentation.make(2, [(1, 1, 1), (2, 2), (1, 2, 1, 2)])
     out = pr.todd_coxeter(pres, 1000)
     assert out.finite
-    assert pr.certify_table(out.table, [list(r) for r in pres.relators])
+    assert pr.certify_table(out, [list(r) for r in pres.relators])
     # transitivity and bijectivity are part of the certificate
     assert sorted(out.perms[0]) == list(range(out.order))
+
+
+def test_uncertified_table_raises(monkeypatch):
+    monkeypatch.setattr(pr, "certify_table", lambda table, relators: False)
+    with pytest.raises(InternalInconsistency):
+        pr.todd_coxeter(pr.GroupPresentation.make(1, [(1,) * 5]), 100)
 
 
 NAIVE_CASES = [

@@ -124,6 +124,31 @@ def test_certificate_report_lines(icosa_cert):
     assert any("check[7_intersection_gcd]: pass" in l for l in lines)
 
 
+def test_group_queries_after_closure_run_on_integers(monkeypatch):
+    cert = sf.build(sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=2))
+    groups = [cert.pi_hat, cert.pi, cert.extension_spin(), cert.extension_so4()]
+
+    def no_exact_product(self, other):
+        raise RuntimeError("exact product after closure")
+
+    monkeypatch.setattr(qt.Spin4Element, "__mul__", no_exact_product)
+    monkeypatch.setattr(qt.RotationClass, "__mul__", no_exact_product)
+    for group in groups:
+        ab = group.abelianization()
+        series = group.derived_series()
+        # two integer routes to |G/G'|: Schreier-relator SNF and the derived subgroup
+        assert ab.order() * len(series[1]) == len(group)
+        assert len(series[-1]) == 1  # the tetrahedral family is solvable
+        cls = group.conjugacy_class(len(group) - 1)
+        ncl = group.normal_closure(cls)
+        assert len(group) % len(cls) == 0 and len(group) % len(ncl) == 0
+        assert set(cls) <= set(ncl)
+    assert str(cert.pi.abelianization()) == "Z/9"
+    gamma_hat = groups[2]
+    iota_cls = gamma_hat.conjugacy_class(gamma_hat.index[cert.iota_hat])
+    assert len(gamma_hat.normal_closure(iota_cls)) == len(gamma_hat)
+
+
 def test_default_sweep_well_formed():
     specs = sf.default_sweep()
     assert len(specs) >= 12
