@@ -160,23 +160,34 @@ def diagram_from_payload(fmt, payload, name=""):
     if fmt == "braid":
         return kn.braid_to_diagram(kn.parse_braid(payload), name=name)
     if fmt == "torus":
-        p, q = (int(t) for t in payload.split())
+        p, q = _integers(payload, 2)
         return kn.braid_to_diagram(kn.torus_knot(p, q), name=name)
     if fmt == "twobridge":
-        p, q = (int(t) for t in payload.split())
+        p, q = _integers(payload, 2)
         return kn.two_bridge(p, q, name=name)
     if fmt == "montesinos":
         head, _, tail = payload.partition(";")
         head = head.strip()
         if not head.startswith("e="):
             raise ParseError("montesinos payload must start with 'e=<int>;'", 0)
-        e = int(head[2:])
+        (e,) = _integers(head[2:], 1)
         fractions = []
         for tok in tail.split():
             num, _, den = tok.partition("/")
-            fractions.append((int(num), int(den)))
+            fractions.append(_integers(f"{num} {den}", 2))
         return kn.montesinos(e, fractions, name=name)
     raise ParseError(f"unknown corpus format {fmt!r}", 0)
+
+
+def _integers(text, count):
+    """Exactly ``count`` whitespace-separated integers, or a ParseError."""
+    try:
+        values = tuple(int(t) for t in text.split())
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise ParseError(f"expected {count} integers, got {text.strip()!r}", 0)
+    return values
 
 
 def parse_corpus(text):

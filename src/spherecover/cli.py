@@ -114,7 +114,7 @@ def cmd_knot_gen(args, config, out):
 def cmd_spaceform_verify(args, config, out):
     spec = _spaceform_spec(args)
     cert = spaceforms.build(spec, cap=config.group_cap)
-    spaceforms.verify(cert, cap=config.group_cap)
+    spaceforms.verify(cert)
     if config.output_format == "json":
         rec = {
             "spaceform": spec.label(),
@@ -145,7 +145,7 @@ def cmd_spaceform_sweep(args, config, out):
     worst = EXIT_OK
     for spec in spaceforms.default_sweep():
         cert = spaceforms.build(spec, cap=config.group_cap)
-        spaceforms.verify(cert, cap=config.group_cap)
+        spaceforms.verify(cert)
         ok = cert.all_checks_pass()
         records.append(
             {
@@ -215,6 +215,19 @@ def cmd_orbit_validate(args, config, out):
     return EXIT_OK
 
 
+def _cached_record(cache, key):
+    """The cached record, or None on a miss or an entry that does not decode.
+
+    An undecodable entry (say, truncated) is recomputed and rewritten.
+    """
+    hit = cache.get(key)
+    try:
+        rec = json.loads(hit) if hit is not None else None
+    except ValueError:
+        return None
+    return rec if isinstance(rec, dict) else None
+
+
 def _attach_name(cached_rec, name):
     """Rebuild a cached (name-free) record with the row name in place."""
     out = {}
@@ -238,9 +251,9 @@ def cmd_corpus_run(args, config, out):
     if cache:
         for row in rows:
             key = cache.key_for(row[2], row[1], config.coset_cap)
-            hit = cache.get(key)
+            hit = _cached_record(cache, key)
             if hit is not None:
-                records.append(_attach_name(json.loads(hit.decode()), row[0]))
+                records.append(_attach_name(hit, row[0]))
             else:
                 fresh_rows.append(row)
     else:

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .errors import DivisionByZero, NotReal
+from .errors import DivisionByZero, InternalInconsistency, NotReal
 
 # Default conductor: covers sqrt(2) (via zeta_8), sqrt(3) (zeta_12),
 # sqrt(5) (zeta_5) and cos(pi/m) for 2m | 120.
@@ -45,12 +45,14 @@ def _polydiv_exact(num, den):
     out = [0] * (len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         q, r = divmod(num[i], lead)
-        assert r == 0, "non-exact polynomial division"
+        if r:
+            raise InternalInconsistency("non-exact polynomial division")
         out[i - dn] = q
         if q:
             for j, c in enumerate(den):
                 num[i - dn + j] -= q * c
-    assert all(c == 0 for c in num), "nonzero remainder in cyclotomic division"
+    if any(num):
+        raise InternalInconsistency("nonzero remainder in cyclotomic division")
     return out
 
 

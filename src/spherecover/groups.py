@@ -342,28 +342,32 @@ class FiniteRotationGroup(FiniteGroup):
         elements = [qt.RotationClass(self.elements[x]) for x in reps]
         return FiniteRotationGroup(elements, right, parent, gen)
 
-    def coset_extension(self, t):
-        """H with its coset H t, or None unless t normalizes H, t^2 is in H and t is not.
+    def extension(self, t, cap=DEFAULT_GROUP_CAP):
+        """<H, t> as the cosets H, Ht, ..., Ht^(r-1), r least with t^r in H.
 
-        Besides the coset elements themselves, only the conjugates t s t^-1
-        of the generators and t^2 are exact products: the coset's table
-        follows from (h t) s = (h t s t^-1) t and (h t) t = h t^2.
+        t must normalize H.  Only the conjugates t^i s t^-i of the
+        generators, the powers of t and the coset elements are exact
+        products: the table follows from (h t^i) s = (h t^i s t^-i) t^i
+        and (h t^(r-1)) t = h t^r.
         """
-        t_inv = t.inverse()
-        conj = [self.index.get(t * g * t_inv) for g in self.generators()]
-        square = self.index.get(t * t)
-        if None in conj or square is None or t in self.index:
-            return None
-        n = len(self)
-        coset = range(n)
+        n, t_inv = len(self), t.inverse()
+        powers, conj = [self.elements[self.identity_idx]], [self.gens_idx]
+        while (top := powers[-1] * t) not in self.index:
+            if n * (len(powers) + 1) > cap:
+                raise CapExceeded(cap)
+            powers.append(top)
+            conj.append([self.index.get(t * self.elements[c] * t_inv) for c in conj[-1]])
+            if None in conj[-1]:
+                raise NotMember(f"{t!r} does not normalize the group")
+        h, shifted = range(n), range(n * (len(powers) - 1))
         right = [
-            col + [n + self.imul(x, c) for x in coset]
-            for col, c in zip(self.right, conj)
+            col + [i * n + self.imul(x, cs[s]) for i, cs in enumerate(conj[1:], 1) for x in h]
+            for s, col in enumerate(self.right)
         ]
-        right.append([n + x for x in coset] + [self.imul(x, square) for x in coset])
-        parent = self.parent + list(coset)
-        gen = self.gen + [len(self.right)] * n
-        elements = self.elements + [e * t for e in self.elements]
+        right.append([x + n for x in shifted] + [self.imul(x, self.index[top]) for x in h])
+        parent = self.parent + list(shifted)
+        gen = self.gen + [len(self.right)] * len(shifted)
+        elements = self.elements + [e * p for p in powers[1:] for e in self.elements]
         return FiniteRotationGroup(elements, right, parent, gen)
 
     def acts_freely(self):

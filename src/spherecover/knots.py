@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NotAKnot, ParseError, SpecViolation, ValidationError
+from .errors import InternalInconsistency, NotAKnot, ParseError, SpecViolation, ValidationError
 from .linalg import AbelianGroup, cokernel, integer_determinant
 
 
@@ -340,9 +340,11 @@ class _Assembler:
         n2 = 2 * n
         for ci, (ends, under_slot) in enumerate(self.crossings):
             in_slots = [s for s in range(4) if (ci, s) in labels]
-            assert len(in_slots) == 2, "each crossing is entered exactly twice"
+            if len(in_slots) != 2:
+                raise InternalInconsistency("each crossing is entered exactly twice")
             a_slot = under_slot if under_slot in in_slots else under_slot + 2
-            assert a_slot in in_slots, "under strand never enters its crossing"
+            if a_slot not in in_slots:
+                raise InternalInconsistency("under strand never enters its crossing")
             quad = []
             for off in range(4):
                 s = (a_slot + off) % 4
@@ -425,7 +427,8 @@ def continued_fraction(p, q):
         out.append(a)
         p, q = q, r
     if len(out) % 2 == 0:
-        assert out[-1] >= 2
+        if out[-1] < 2:
+            raise InternalInconsistency(f"last continued-fraction term {out[-1]} < 2")
         out[-1] -= 1
         out.append(1)
     return out

@@ -30,14 +30,12 @@ from fractions import Fraction
 from . import cyclotomic as cy
 from . import quaternions as qt
 from .errors import InternalInconsistency, SpecViolation
-from .groups import FiniteRotationGroup, generate_group
+from .groups import DEFAULT_GROUP_CAP, FiniteRotationGroup, generate_group
 from .linalg import AbelianGroup
 
 CYCLIC = "cyclic"
 TETRAHEDRAL = "tetrahedral"
 ICOSAHEDRAL = "icosahedral"
-
-DEFAULT_SPACEFORM_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -110,24 +108,10 @@ class SpaceFormCertificate:
     pi: FiniteRotationGroup  # SO(4) level
     iota_hat: qt.Spin4Element
     iota_tilde: qt.RotationClass
-    gamma_hat: FiniteRotationGroup | None = None
-    gamma: FiniteRotationGroup | None = None
+    gamma_hat: FiniteRotationGroup  # the extension by the involution, Spin(4) level
+    gamma: FiniteRotationGroup  # SO(4) level
     checks: dict = field(default_factory=dict)
     abelianization: AbelianGroup | None = None
-
-    def extension_spin(self, cap=DEFAULT_SPACEFORM_CAP):
-        if self.gamma_hat is None:
-            # a proven coset extension needs no breadth-first search
-            self.gamma_hat = self.pi_hat.coset_extension(self.iota_hat)
-            if self.gamma_hat is None:  # pragma: no cover - defensive fallback
-                gens = self.pi_hat.generators() + [self.iota_hat]
-                self.gamma_hat = generate_group(gens, cap=cap)
-        return self.gamma_hat
-
-    def extension_so4(self, cap=DEFAULT_SPACEFORM_CAP):
-        if self.gamma is None:
-            self.gamma = self.extension_spin(cap=cap).to_so4()
-        return self.gamma
 
     def all_checks_pass(self):
         return bool(self.checks) and all(ok for ok, _ in self.checks.values())
@@ -183,8 +167,8 @@ def _build_generators(spec):
     return gens, iota_hat
 
 
-def build(spec, cap=DEFAULT_SPACEFORM_CAP, allow_invalid=False):
-    """Construct the certificate skeleton: groups, involution, conductor."""
+def build(spec, cap=DEFAULT_GROUP_CAP, allow_invalid=False):
+    """Construct the certificate skeleton: groups, extension, involution, conductor."""
     if not allow_invalid:
         spec.validate()
     gens, iota_hat = _build_generators(spec)
@@ -192,19 +176,20 @@ def build(spec, cap=DEFAULT_SPACEFORM_CAP, allow_invalid=False):
     gens = [g.lift(conductor) for g in gens]
     iota_hat = iota_hat.lift(conductor)
     pi_hat = generate_group(gens, cap=cap)
-    pi = pi_hat.to_so4()
-    iota_tilde = qt.RotationClass(iota_hat)
+    gamma_hat = pi_hat.extension(iota_hat, cap=cap)
     return SpaceFormCertificate(
         spec=spec,
         conductor=conductor,
         pi_hat=pi_hat,
-        pi=pi,
+        pi=pi_hat.to_so4(),
         iota_hat=iota_hat,
-        iota_tilde=iota_tilde,
+        iota_tilde=qt.RotationClass(iota_hat),
+        gamma_hat=gamma_hat,
+        gamma=gamma_hat.to_so4(),
     )
 
 
-def verify(cert, cap=DEFAULT_SPACEFORM_CAP):
+def verify(cert):
     """Run the seven checks, recording pass/fail with witnesses. Never silent."""
     checks = {}
     pi, pi_hat = cert.pi, cert.pi_hat
@@ -232,26 +217,20 @@ def verify(cert, cap=DEFAULT_SPACEFORM_CAP):
     ok4 = sq.is_identity() and fs.kind == "circle"
     checks["4_involution_circle"] = (ok4, f"square_identity={sq.is_identity()}, fixed={fs.kind}")
 
-    gamma_hat = cert.extension_spin(cap=cap)
+    gamma_hat = cert.gamma_hat
     cls = gamma_hat.conjugacy_class(gamma_hat.index[iota])
     ncl = gamma_hat.normal_closure(cls)
     ok5 = len(ncl) == gamma_hat.order
     checks["5_class_generates"] = (ok5, f"closure {len(ncl)} of {gamma_hat.order}")
 
-    gamma = cert.extension_so4(cap=cap)
-    iota_cls = set(gamma.conjugacy_class(gamma.index[cert.iota_tilde]))
+    gamma = cert.gamma
+    iota_cls = gamma.conjugacy_class(gamma.index[cert.iota_tilde])
     bad6 = None
-    for i, e in enumerate(gamma.elements):
-        if i == gamma.identity_idx:
-            continue
-        by_real = qt.has_fixed_points(e)
-        by_kernel = qt.fixed_set(e).dimension() > 0
-        if by_real != by_kernel:
-            raise InternalInconsistency(
-                f"fixed-point criteria disagree on {e!r}: real={by_real} kernel={by_kernel}"
-            )
-        if by_real and i not in iota_cls:
-            bad6 = e
+    # classes come in the order of their least member (the identity's first),
+    # so the first failing class starts with the first failing element
+    for cls in gamma.conjugacy_classes()[1:]:
+        if _class_fixed_set(gamma, cls).dimension() > 0 and cls != iota_cls:
+            bad6 = gamma.elements[cls[0]]
             break
     checks["6_fixed_points_conjugate"] = (
         bad6 is None,
@@ -265,27 +244,29 @@ def verify(cert, cap=DEFAULT_SPACEFORM_CAP):
     return checks
 
 
-def involution_uniqueness_scan(cert, candidates=None, cap=DEFAULT_SPACEFORM_CAP):
+def involution_uniqueness_scan(cert, candidates=None):
     """Partition involutions of the extension with circle fixed sets by conjugacy.
 
     Candidates default to every element of Gamma minus Pi that squares to
     the identity and fixes a circle.  A single part is the uniqueness
     statement for the branch involution.
     """
-    gamma = cert.extension_so4(cap=cap)
+    gamma = cert.gamma
     if candidates is None:
-        candidates = []
-        for i, e in enumerate(gamma.elements):
-            if i == gamma.identity_idx or e in cert.pi:
-                continue
-            if (e * e).is_identity() and qt.fixed_set(e).kind == "circle":
-                candidates.append(e)
-    else:
-        for e in candidates:
-            if e not in gamma.index:
-                raise SpecViolation(f"candidate {e!r} is not in the extension")
-            if not (e * e).is_identity() or qt.fixed_set(e).kind != "circle":
-                raise SpecViolation(f"candidate {e!r} is not a circle-fixing involution")
+        # Pi is normal in Gamma, so each condition holds for a whole class or none of it
+        return [
+            [gamma.elements[i] for i in cls]
+            for cls in gamma.conjugacy_classes()
+            if cls[0] != gamma.identity_idx
+            and gamma.elements[cls[0]] not in cert.pi
+            and gamma.imul(cls[0], cls[0]) == gamma.identity_idx
+            and _class_fixed_set(gamma, cls).kind == "circle"
+        ]
+    for e in candidates:
+        if e not in gamma.index:
+            raise SpecViolation(f"candidate {e!r} is not in the extension")
+        if not (e * e).is_identity() or qt.fixed_set(e).kind != "circle":
+            raise SpecViolation(f"candidate {e!r} is not a circle-fixing involution")
     wanted = set(candidates)
     parts = []
     assigned = {}
@@ -299,6 +280,18 @@ def involution_uniqueness_scan(cert, candidates=None, cap=DEFAULT_SPACEFORM_CAP)
             assigned[i] = len(parts)
         parts.append(members)
     return parts
+
+
+def _class_fixed_set(gamma, cls):
+    """Exact fixed set of a class's least member; fixed-point dimension is a class function.
+
+    The real-part criterion must agree with it on every member.
+    """
+    fs = qt.fixed_set(gamma.elements[cls[0]])
+    for e in (gamma.elements[i] for i in cls):
+        if qt.has_fixed_points(e) != (fs.dimension() > 0):
+            raise InternalInconsistency(f"fixed-point criteria disagree on {e!r}")
+    return fs
 
 
 def default_sweep():

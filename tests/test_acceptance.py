@@ -213,7 +213,7 @@ def test_acceptance_8_oracle_suites():
         sf.SpaceFormSpec(sf.ICOSAHEDRAL, m=1),
     ):
         cert = sf.build(spec)
-        gamma = cert.extension_so4()
+        gamma = cert.gamma
         pool.extend(gamma.elements)
     rng = random.Random(7)
     for _ in range(10_000):

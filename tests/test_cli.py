@@ -110,6 +110,39 @@ def test_corpus_rejects_link_row(tmp_path):
     assert "row_errors: 1" in out
 
 
+def test_corpus_malformed_integer_rows_are_row_errors(tmp_path):
+    corpus = tmp_path / "bad.tsv"
+    corpus.write_text(
+        "t\ttorus\t3\n"
+        "b\ttwobridge\ta b\n"
+        "m1\tmontesinos\te=0; 3\n"
+        "m2\tmontesinos\te=x; 1/3\n"
+        "ok\tpd\t" + TREFOIL_PD + "\n"
+    )
+    code, out, _ = run_cli(["corpus", "run", "--corpus", str(corpus), "--format", "json"])
+    assert code == 4
+    recs = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    errors = {rec["name"]: rec["error"] for rec in recs if "error" in rec}
+    assert sorted(errors) == ["b", "m1", "m2", "t"]
+    assert all(err.startswith("ParseError") for err in errors.values())
+    assert "row_errors: 4" in out
+
+
+def test_corpus_recomputes_corrupt_cache_entry(tmp_path):
+    corpus = tmp_path / "mini.tsv"
+    corpus.write_text("trefoil\tpd\t" + TREFOIL_PD + "\nb75\ttwobridge\t7 5\n")
+    cache_dir = tmp_path / "cache"
+    argv = ["corpus", "run", "--corpus", str(corpus), "--cache", str(cache_dir), "--format", "json"]
+    code1, out1, _ = run_cli(argv)
+    entry = sorted(cache_dir.iterdir())[0]
+    good = entry.read_bytes()
+    entry.write_bytes(good[: len(good) // 2])
+    code2, out2, _ = run_cli(argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert entry.read_bytes() == good
+
+
 def test_corpus_determinism_without_cache(tmp_path):
     corpus = tmp_path / "mini.tsv"
     corpus.write_text("trefoil\tpd\t" + TREFOIL_PD + "\n")

@@ -4,6 +4,7 @@ import pytest
 
 from spherecover import cyclotomic as cy
 from spherecover import quaternions as qt
+from spherecover import spaceforms as sf
 from spherecover.errors import CapExceeded, NotMember, WrongAmbient
 from spherecover.groups import FiniteRotationGroup, generate_group, quaternion_group_q8
 from spherecover.spaceforms import (
@@ -152,3 +153,38 @@ def test_subgroup_intersections_wrong_ambient():
     jj = generate_group([qt.Spin4Element(qt.quat_one(), qt.quat_j())], cap=8)
     with pytest.raises(WrongAmbient):
         jj.subgroup_intersections()
+
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [
+        (sf.SpaceFormSpec(sf.CYCLIC, m=5, p=1), 4),  # iota^2 = -1 is not in Pi^
+        (sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=0), 2),
+    ],
+)
+def test_extension_matches_breadth_first_closure(spec, r):
+    cert = sf.build(spec)
+    reference = generate_group(cert.pi_hat.generators() + [cert.iota_hat])
+    gamma_hat = cert.pi_hat.extension(cert.iota_hat)
+    assert set(gamma_hat.elements) == set(reference.elements)
+    assert len(gamma_hat) == r * len(cert.pi_hat)
+    gens = gamma_hat.generators()
+    for s, col in enumerate(gamma_hat.right):
+        for x, y in enumerate(col):
+            assert gamma_hat.elements[y] == gamma_hat.elements[x] * gens[s]
+
+
+def test_extension_by_element_normalizer_and_cap(q8):
+    c4 = generate_group([spin_left(qt.quat_i())])
+    assert set(c4.extension(spin_left(qt.quat_j())).elements) == set(q8.elements)
+    assert len(c4.extension(spin_left(-qt.quat_one()))) == 4  # t in H: r = 1
+    h = Fraction(1, 2)
+    omega = spin_left(qt.quat(h, h, h, h))  # conjugates i to j
+    with pytest.raises(NotMember):
+        c4.extension(omega)
+    # a central t of order 7: one conductor for H and t, r = 7
+    seventh = qt.Spin4Element(qt.quat_one(), qt.circle_quaternion(1, 7))
+    c4 = generate_group([spin_left(qt.quat_i()).lift(seventh.conductor())])
+    assert len(c4.extension(seventh)) == 28
+    with pytest.raises(CapExceeded):
+        c4.extension(seventh, cap=20)

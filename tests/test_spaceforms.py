@@ -2,7 +2,7 @@ import pytest
 
 from spherecover import quaternions as qt
 from spherecover import spaceforms as sf
-from spherecover.errors import SpecViolation
+from spherecover.errors import InternalInconsistency, SpecViolation
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ def test_certificate_report_lines(icosa_cert):
 
 def test_group_queries_after_closure_run_on_integers(monkeypatch):
     cert = sf.build(sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=2))
-    groups = [cert.pi_hat, cert.pi, cert.extension_spin(), cert.extension_so4()]
+    groups = [cert.pi_hat, cert.pi, cert.gamma_hat, cert.gamma]
 
     def no_exact_product(self, other):
         raise RuntimeError("exact product after closure")
@@ -156,3 +156,29 @@ def test_default_sweep_well_formed():
         spec.validate()
     families = {s.family for s in specs}
     assert families == {sf.CYCLIC, sf.TETRAHEDRAL, sf.ICOSAHEDRAL}
+
+
+def test_verify_computes_one_fixed_set_per_class(monkeypatch):
+    cert = sf.build(sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=2))
+    calls = []
+    fixed_set = qt.fixed_set
+    monkeypatch.setattr(qt, "fixed_set", lambda e: calls.append(e) or fixed_set(e))
+    sf.verify(cert)
+    assert cert.all_checks_pass()
+    assert len(cert.gamma) == 144
+    # one kernel per non-identity class of Gamma, plus one for check 4
+    assert len(calls) == len(cert.gamma.conjugacy_classes()) == 15
+
+
+def test_real_part_criterion_runs_on_every_class_member(monkeypatch):
+    cert = sf.build(sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=2))
+    gamma = cert.gamma
+    iota_cls = gamma.conjugacy_class(gamma.index[cert.iota_tilde])
+    liar = gamma.elements[iota_cls[-1]]
+    assert len(iota_cls) > 1 and liar not in cert.pi
+    has_fixed_points = qt.has_fixed_points
+    monkeypatch.setattr(qt, "has_fixed_points", lambda e: has_fixed_points(e) != (e == liar))
+    with pytest.raises(InternalInconsistency):
+        sf.verify(cert)
+    with pytest.raises(InternalInconsistency):
+        sf.involution_uniqueness_scan(cert)
