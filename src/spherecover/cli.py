@@ -12,7 +12,8 @@ Commands:
 
 Exit codes: 0 success; 1 bad input/parameters; 2 trichotomy violation
 (knot/corpus); 3 failed space-form check or oracle mismatch; 4 corpus row
-errors.  Reports are deterministic; timings appear only with --timings.
+errors; 5 internal inconsistency (two computation routes disagree: a bug,
+not bad input).  Reports are deterministic; timings appear only with --timings.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .cache import ResultCache
 from .config import load_config, packaged_corpus_text
 from .errors import (
     CapExceeded,
+    InternalInconsistency,
     NotAKnot,
     OracleMismatch,
     ParseError,
@@ -40,6 +42,7 @@ EXIT_INPUT = 1
 EXIT_TRICHOTOMY = 2
 EXIT_CHECK_FAILED = 3
 EXIT_ROW_ERRORS = 4
+EXIT_INTERNAL = 5
 
 
 def _emit_records(records, fmt, out):
@@ -167,6 +170,8 @@ def cmd_orbit_profile(args, config, out):
     action = orbits.WeightedAction(args.k, args.l)
     prof = orbits.profile(action)
     n = args.points
+    if n < 1:
+        raise SpecViolation("--points must be >= 1")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["t", f"f_{args.k}_{args.l}"])
     for i in range(n + 1):
@@ -408,6 +413,9 @@ def main(argv=None, out=None, err=None):
     except OracleMismatch as exc:
         err.write(f"OracleMismatch: {exc}\n")
         return EXIT_CHECK_FAILED
+    except InternalInconsistency as exc:
+        err.write(f"InternalInconsistency: {exc}\n")
+        return EXIT_INTERNAL
     except SphereCoverError as exc:
         err.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_INPUT

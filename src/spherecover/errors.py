@@ -29,6 +29,14 @@ class WrongAmbient(SphereCoverError):
     """A group is not presented inside the expected ambient subgroup."""
 
 
+class ConductorMismatch(WrongAmbient, NotMember):
+    """An exact element is looked up in a group over a field it does not embed in.
+
+    It is also a NotMember, so callers that treat absence as an error keep
+    catching it.
+    """
+
+
 class SpecViolation(SphereCoverError):
     """Construction parameters violate their arithmetic constraints."""
 

@@ -17,7 +17,13 @@ from __future__ import annotations
 import math
 
 from . import quaternions as qt
-from .errors import CapExceeded, InternalInconsistency, NotMember, WrongAmbient
+from .errors import (
+    CapExceeded,
+    ConductorMismatch,
+    InternalInconsistency,
+    NotMember,
+    WrongAmbient,
+)
 from .linalg import cokernel
 
 DEFAULT_GROUP_CAP = 100_000
@@ -319,6 +325,25 @@ class FiniteRotationGroup(FiniteGroup):
     def generators(self):
         return [self.elements[i] for i in self.gens_idx]
 
+    def _at_conductor(self, g):
+        """g re-expressed at the group's conductor, where element hashes live.
+
+        A query from a field that does not embed in the group's is refused
+        rather than reported absent.
+        """
+        own, theirs = self.elements[self.identity_idx].conductor(), g.conductor()
+        if own % theirs:
+            raise ConductorMismatch(
+                f"an element of conductor {theirs} is looked up in a group of conductor {own}"
+            )
+        return g.lift(own)
+
+    def __contains__(self, element):
+        return self._at_conductor(element) in self.index
+
+    def _as_index(self, g):
+        return super()._as_index(g if isinstance(g, int) else self._at_conductor(g))
+
     def to_so4(self):
         """Image in SO(4): each element is paired with its product by -1.
 
@@ -345,11 +370,13 @@ class FiniteRotationGroup(FiniteGroup):
     def extension(self, t, cap=DEFAULT_GROUP_CAP):
         """<H, t> as the cosets H, Ht, ..., Ht^(r-1), r least with t^r in H.
 
-        t must normalize H.  Only the conjugates t^i s t^-i of the
-        generators, the powers of t and the coset elements are exact
-        products: the table follows from (h t^i) s = (h t^i s t^-i) t^i
-        and (h t^(r-1)) t = h t^r.
+        t must normalize H.  It is lifted once to the group's conductor;
+        a t whose conductor does not divide it raises ConductorMismatch.
+        Only the conjugates t^i s t^-i of the generators, the powers of t
+        and the coset elements are exact products: the table follows from
+        (h t^i) s = (h t^i s t^-i) t^i and (h t^(r-1)) t = h t^r.
         """
+        t = self._at_conductor(t)
         n, t_inv = len(self), t.inverse()
         powers, conj = [self.elements[self.identity_idx]], [self.gens_idx]
         while (top := powers[-1] * t) not in self.index:

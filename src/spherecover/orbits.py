@@ -12,44 +12,22 @@ by Clairaut shooting) against true orbit distances obtained by minimizing
 round-sphere distance over the circle action, and rejects the profile
 loudly when they disagree beyond tolerance.
 
-All tolerances live in one place (``Tolerances``): 1e-12 for pointwise
-closed-form comparisons, 1e-6 for distance minimization, 1e-3 for the
-oracle gate.
+Thresholds default to the run configuration: ``RunConfig.tol_grid`` for
+pointwise closed-form comparisons and ``RunConfig.tol_oracle`` for the
+oracle gate.  Orbit distances refine the circle parameter to 1e-9.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
-
-def _quad(fn, lo, hi):
-    """Adaptive quadrature with accuracy warnings silenced.
-
-    Near-tangent Clairaut configurations legitimately strain the
-    integrator; correctness is enforced downstream by re-checking the
-    angular transport of every root, not by quad's own warnings.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(fn, lo, hi, epsabs=1e-9, limit=80)[0]
-
+from .config import RunConfig
 from .errors import OracleMismatch, SpecViolation
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    grid: float = 1e-12
-    minimize: float = 1e-6
-    oracle: float = 1e-3
-
-
-TOL = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -80,27 +58,15 @@ class RevolutionProfile:
     params: tuple
 
     def value(self, t):
-        if self.kind == "weighted":
-            k, l = self.params
-            s, c = math.sin(t), math.cos(t)
-            return s * c / math.sqrt(l * l * s * s + k * k * c * c)
+        """f at t, for a float or an array of floats."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "suspension":
             (n,) = self.params
-            return math.sin(t) / n
-        inner = profile(WeightedAction(*self.params))
-        return 2.0 * inner.value(t)
-
-    def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        if self.kind == "weighted":
-            k, l = self.params
-            s, c = np.sin(ts), np.cos(ts)
-            return s * c / np.sqrt(l * l * s * s + k * k * c * c)
-        if self.kind == "suspension":
-            (n,) = self.params
-            return np.sin(ts) / n
-        inner = profile(WeightedAction(*self.params))
-        return 2.0 * inner.values(ts)
+            return np.sin(t) / n
+        k, l = self.params
+        s, c = np.sin(t), np.cos(t)
+        f = s * c / np.sqrt(l * l * s * s + k * k * c * c)
+        return 2.0 * f if self.kind == "doubled" else f
 
 
 def profile(action):
@@ -144,12 +110,14 @@ def cone_angles(prof):
     )
 
 
-def compare(prof_a, prof_b, grid_size=10_000, tol=TOL.grid):
+def compare(prof_a, prof_b, grid_size=10_000, tol=RunConfig.tol_grid):
     """Pointwise domination f_a >= f_b - tol on a uniform grid."""
     if prof_a.domain != prof_b.domain:
         raise SpecViolation("profiles must share a domain to compare")
+    if grid_size < 2:
+        raise SpecViolation("a comparison grid needs both domain ends (grid >= 2)")
     ts = np.linspace(prof_a.domain[0], prof_a.domain[1], grid_size)
-    va, vb = prof_a.values(ts), prof_b.values(ts)
+    va, vb = prof_a.value(ts), prof_b.value(ts)
     gap = vb - va
     worst = int(np.argmax(gap))
     ok = bool(gap[worst] <= tol)
@@ -164,7 +132,7 @@ def round_s3_distance(p, q):
     return math.acos(max(-1.0, min(1.0, inner)))
 
 
-def orbit_distance(action, p, q, grid=2048, tol=TOL.minimize):
+def orbit_distance(action, p, q, grid=2048):
     """Distance between the orbits of p and q: min over the circle parameter.
 
     The inner product with the rotated q is A(theta) = Re(c1 e^{-ik theta}
@@ -193,7 +161,7 @@ def orbit_distance(action, p, q, grid=2048, tol=TOL.minimize):
         neg,
         bounds=(center - width, center + width),
         method="bounded",
-        options={"xatol": tol * 1e-3},
+        options={"xatol": 1e-9},
     )
     top = max(vals[best], -res.fun)
     return math.acos(max(-1.0, min(1.0, top)))
@@ -209,84 +177,72 @@ def quotient_coordinates(action, z):
 
 # -- geodesics on the revolution surface ----------------------------------------------
 
+# Gauss-Legendre rule on [0, 1] (Golub & Welsch 1969), shared by every half-segment
+GL_NODES = 32
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
+_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 
-def _half_seg(prof, c, anchor, other, stabilize, want_len):
-    """Integrals from anchor toward other under the substitution x = u^2.
+SAMPLES = 24  # Clairaut constants sampled per branch before root bracketing
+TIP = 1e-3  # smallest turning-branch constant, as a fraction of c_max
 
-    The substitution removes the inverse-square-root endpoint behaviour at
-    the anchor.  ``stabilize`` marks an exact turning point f(anchor) = c,
-    where f(t) - c is replaced by its linearization slope * x inside a
-    small zone whenever floating cancellation drives the raw difference
-    below half the linear model.
+
+def _turning(prof, c, tip, t):
+    """The point between the cone tip and t where f = c; the tip itself when f(tip) >= c."""
+    if prof.value(tip) >= c:
+        return tip
+    return optimize.brentq(lambda s: prof.value(s) - c, tip, t, xtol=1e-13)
+
+
+def _pieces(prof, c, a, b, t1, t2):
+    """Rows (delta phi, length), columns the arcs [a, t1], [t1, t2], [t2, b], at Clairaut c.
+
+    a <= t1 <= t2 <= b are the turning points f(a) = f(b) = c around the
+    endpoints.  Each arc is split at its midpoint; the lower half is
+    integrated in u = sqrt(t - a) and the upper half in u = sqrt(b - t),
+    which removes the inverse-square-root behaviour at a turning point
+    that bounds the half and keeps a near-tangent endpoint smooth.  Near a
+    turning point floating cancellation can drive f(t) - c below half its
+    linearization slope * x; there the linearization is used instead.
+    All six halves share the same nodes and one profile evaluation.
     """
-    direction = 1.0 if other >= anchor else -1.0
-    span = abs(other - anchor)
-    if span == 0.0:
-        return 0.0, 0.0
-    h = max(span * 1e-6, 1e-12)
-    slope = max((prof.value(anchor + direction * h) - c) / h, 1e-30)
-    zone = span * 1e-2
-
-    def diff(t, x):
-        raw = prof.value(t) - c
-        if stabilize and x < zone:
-            lin = slope * x
-            if raw < 0.5 * lin or raw <= 0.0:
-                return lin
-        if raw <= 0.0:
-            return 1e-300
-        return raw
-
-    def phi_ig(u):
-        x = u * u
-        t = anchor + direction * x
-        ft = prof.value(t)
-        return 2 * u * c / (ft * math.sqrt(diff(t, x) * (ft + c)))
-
-    u_max = math.sqrt(span)
-    phi = _quad(phi_ig, 0.0, u_max)
-    if not want_len:
-        return phi, None
-
-    def len_ig(u):
-        x = u * u
-        t = anchor + direction * x
-        ft = prof.value(t)
-        return 2 * u * ft / math.sqrt(diff(t, x) * (ft + c))
-
-    length = _quad(len_ig, 0.0, u_max)
-    return phi, length
-
-
-def _seg_phi_len(prof, c, t_from, t_to, turning, want_len=True):
-    """(delta phi, length) along a monotone geodesic segment from t_from to t_to.
-
-    Both endpoints get the square-root substitution: the lower end may be
-    an exact turning point (``turning``), and either end may graze the
-    Clairaut level f = c, where the plain integrand spikes.
-    """
-    if t_to < t_from:
-        raise ValueError("segment must increase in t")
-    tm = 0.5 * (t_from + t_to)
-    p1, l1 = _half_seg(prof, c, t_from, tm, stabilize=turning, want_len=want_len)
-    p2, l2 = _half_seg(prof, c, t_to, tm, stabilize=False, want_len=want_len)
-    if not want_len:
-        return p1 + p2, None
-    return p1 + p2, l1 + l2
-
-
-def _solve_turning(prof, c, lo, hi):
-    """t in [lo, hi] with f(t) = c, where f is monotone on the bracket."""
-    return optimize.brentq(lambda t: prof.value(t) - c, lo, hi, xtol=1e-13)
+    lo, hi = np.array([a, t1, t2]), np.array([t1, t2, b])
+    mid = 0.5 * (lo + hi)
+    # one row per half: x = |t - ref| runs over [x_lo, x_hi]
+    ref = np.repeat([a, b], 3)[:, None]
+    sign = np.repeat([1.0, -1.0], 3)[:, None]
+    x_lo = np.concatenate([lo - a, b - hi])[:, None]
+    x_hi = np.concatenate([mid - a, b - mid])[:, None]
+    u_lo, u_hi = np.sqrt(x_lo), np.sqrt(x_hi)
+    u = u_lo + (u_hi - u_lo) * _GL_X
+    x = u * u
+    h = np.maximum(1e-6 * x_hi, 1e-12)
+    f = prof.value(ref + sign * np.hstack([x, h]))  # the nodes, then a slope probe
+    f, slope = f[:, :-1], np.maximum((f[:, -1:] - c) / h, 1e-30)
+    raw, lin = f - c, slope * x
+    cancelled = (x < 1e-2 * x_hi) & ((raw < 0.5 * lin) | (raw <= 0.0))
+    diff = np.where(cancelled, lin, np.where(raw <= 0.0, 1e-300, raw))
+    # weight * dt / sqrt(f^2 - c^2), with dt = 2 u du
+    dw = 2 * u * (u_hi - u_lo) * _GL_W / np.sqrt(diff * (f + c))
+    halves = np.array([(c / f * dw).sum(axis=1), (f * dw).sum(axis=1)])
+    return halves[:, :3] + halves[:, 3:]
 
 
 def profile_distance(prof, a, b):
     """Geodesic distance between orbit points (t, phi) in dt^2 + f^2 dphi^2.
 
     Candidates: routes through either cone point, the direct meridian when
-    the angles agree, and Clairaut branches (monotone, or turning beyond
-    either side) whose angular transport matches the target; the shortest
-    wins.  Quadrature and root tolerances leave ~1e-6 of slack.
+    the angles agree, and Clairaut geodesics whose angular transport
+    matches the target; the shortest wins.  Over the arcs A, M, B of
+    :func:`_pieces`, the direct geodesic at Clairaut constant c is M, the
+    one turning below t1 is 2A + M and the one turning beyond t2 is
+    M + 2B.  At c_max = min(f(t1), f(t2)) the endpoint with the smaller f
+    is a turning point, so the direct branch continues into the turning
+    branch on that side.  The two are shot as one path, so a target
+    whose geodesic is close to that tangency is bracketed like any other.
+    The other turning branch is a path of its own.  Turning branches stop at
+    c = TIP * c_max, where their geodesics pass the cone point within
+    O(TIP^2) of the route through it.  Quadrature and root tolerances
+    leave ~1e-6 of slack.
     """
     t1, phi1 = a
     t2, phi2 = b
@@ -300,79 +256,45 @@ def profile_distance(prof, a, b):
     if w < 1e-12:
         candidates.append(t2 - t1)
     eps = 1e-9
-    f1, f2 = prof.value(max(t1, t0 + eps)), prof.value(min(t2, t_end - eps))
+    if not t0 + eps < t1 <= t2 < t_end - eps:
+        return min(candidates)  # a point at a cone tip: the route through it is exact
+    f1, f2 = prof.value(t1), prof.value(t2)
     c_max = min(f1, f2)
-    reflected = _Reflected(prof)
+    direct, left, right = (0, 1, 0), (2, 1, 0), (0, 1, 2)
+    near, far = (left, right) if f1 <= f2 else (right, left)
 
-    def branch(c, mode, want_len=False):
-        if mode == "direct":
-            return _seg_phi_len(prof, c, t1, t2, turning=False, want_len=want_len)
-        if mode == "left":
-            ts = _solve_turning(prof, c, t0 + 1e-15, t1)
-            p1, l1 = _seg_phi_len(prof, c, ts, t1, turning=True, want_len=want_len)
-            p2, l2 = _seg_phi_len(prof, c, ts, t2, turning=True, want_len=want_len)
-        else:
-            ts = _solve_turning(prof, c, t2, t_end - 1e-15)
-            p1, l1 = _seg_phi_len(
-                reflected, c, t_end - ts, t_end - t1, turning=True, want_len=want_len
-            )
-            p2, l2 = _seg_phi_len(
-                reflected, c, t_end - ts, t_end - t2, turning=True, want_len=want_len
-            )
-        if not want_len:
-            return p1 + p2, None
-        return p1 + p2, l1 + l2
+    def shoot(s, branch):
+        # s in [0, 1): the direct branch at c = s * c_max; s in [1, 2]:
+        # ``branch`` at c = (2 - s) * c_max
+        c = c_max * (1.0 - abs(1.0 - s))
+        ta, tb = _turning(prof, c, t0, t1), _turning(prof, c, t_end, t2)
+        return _pieces(prof, c, ta, tb, t1, t2) @ (branch if s >= 1.0 else direct)
 
-    for mode, valid in (
-        ("direct", c_max > 0 and t2 > t1),
-        ("left", t1 > t0 + 1e-9 and c_max > 0),
-        ("right", t2 < t_end - 1e-9 and c_max > 0),
-    ):
-        if not valid:
-            continue
-        lo_frac, hi_frac = 1e-7, 1.0 - 1e-7
-        samples = 24
-        prev_c = None
-        prev_gap = None
-        for i in range(samples + 1):
-            cc = c_max * (lo_frac + (hi_frac - lo_frac) * i / samples)
-            try:
-                phi_c, _ = branch(cc, mode)
-            except ValueError:
-                prev_c, prev_gap = None, None
-                continue
-            gap = phi_c - w
+    grid = np.linspace(0.0, 1.0, SAMPLES + 1)
+    turning = 1.0 + (1.0 - TIP) * grid
+    for branch, path in ((near, np.concatenate([grid[:-1], turning])), (far, turning)):
+        prev_s = prev_gap = None
+        for s in path:
+            gap = shoot(s, branch)[0] - w
             if prev_gap is not None and (gap == 0 or (gap > 0) != (prev_gap > 0)):
-                try:
-                    c_root = optimize.brentq(
-                        lambda c: branch(c, mode)[0] - w, prev_c, cc, xtol=1e-11
-                    )
-                    phi_root, len_root = branch(c_root, mode, want_len=True)
-                    if abs(phi_root - w) < 1e-5:  # reject quadrature-jitter roots
-                        candidates.append(len_root)
-                except ValueError:
-                    pass
-            prev_c, prev_gap = cc, gap
+                s_root = optimize.brentq(lambda v: shoot(v, branch)[0] - w, prev_s, s, xtol=1e-11)
+                phi_root, len_root = shoot(s_root, branch)
+                if abs(phi_root - w) < 1e-5:  # reject quadrature-jitter roots
+                    candidates.append(len_root)
+            prev_s, prev_gap = s, gap
     return min(candidates)
 
 
-class _Reflected:
-    """View of a profile with t -> T - t, for right-hand turning segments."""
-
-    def __init__(self, prof):
-        self._p = prof
-        self.domain = prof.domain
-
-    def value(self, t):
-        return self._p.value(self.domain[1] - t)
-
-
-def validate_profile(action, samples=100, seed=0, tol=TOL.oracle, raise_on_mismatch=True):
+def validate_profile(
+    action, samples=100, seed=0, tol=RunConfig.tol_oracle, raise_on_mismatch=True
+):
     """Max |closed-form geodesic distance - true orbit distance| over samples.
 
     This is the gate that earns the closed-form profile: failure above
     tolerance rejects the profile by raising OracleMismatch.
     """
+    if samples < 1:
+        raise SpecViolation("the oracle needs at least one sample")
     rng = np.random.default_rng(seed)
     prof = profile(action)
     worst = 0.0

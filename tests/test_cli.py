@@ -4,9 +4,10 @@ import os
 
 import pytest
 
-from spherecover import cli
+from spherecover import analyzer, cli
 from spherecover.cache import ResultCache
 from spherecover.config import RunConfig, load_config
+from spherecover.errors import InternalInconsistency
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -82,6 +83,39 @@ def test_orbit_validate_small():
 def test_orbit_bad_params_exit_one():
     code, _, err = run_cli(["orbit", "profile", "2", "4"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "profile", "2", "1", "--points", "0"],
+        ["orbit", "compare", "--chain", "3", "2", "--grid", "0"],
+        ["orbit", "compare", "--chain", "3", "2", "--grid", "1"],
+        ["orbit", "validate", "2", "1", "--samples", "-3"],
+        ["orbit", "validate", "2", "1", "--samples", "0"],
+    ],
+)
+def test_orbit_degenerate_counts_exit_one(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert err.startswith("SpecViolation") and "Traceback" not in err
+    assert "pass" not in out and "discrepancy" not in out
+
+
+def test_internal_inconsistency_has_its_own_exit(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("two routes disagree")
+
+    monkeypatch.setattr(analyzer, "analyze", broken)
+    code, _, err = run_cli(["knot", "analyze", "--torus", "3", "5"])
+    assert code == 5
+    assert err == "InternalInconsistency: two routes disagree\n"
+    # inside a corpus it stays a row error
+    corpus = tmp_path / "one.tsv"
+    corpus.write_text("trefoil\tpd\t" + TREFOIL_PD + "\n")
+    code, out, _ = run_cli(["corpus", "run", "--corpus", str(corpus)])
+    assert code == 4
+    assert "row_errors: 1" in out
 
 
 def test_corpus_run_with_cache_byte_identical(tmp_path):

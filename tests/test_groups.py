@@ -188,3 +188,21 @@ def test_extension_by_element_normalizer_and_cap(q8):
     assert len(c4.extension(seventh)) == 28
     with pytest.raises(CapExceeded):
         c4.extension(seventh, cap=20)
+
+
+def test_lookups_happen_at_the_group_conductor():
+    i = spin_left(qt.quat_i())
+    c4 = generate_group([i])
+    # a query from a field that does not embed in the group's is refused
+    for lookup in (
+        lambda: i.lift(7) in c4,
+        lambda: c4.conjugacy_class(i.lift(7)),
+        lambda: c4.extension(i.lift(7)),
+    ):
+        with pytest.raises(WrongAmbient, match="conductor 7.*conductor 1"):
+            lookup()
+    # a query whose conductor divides the group's is lifted and found
+    c4_7 = generate_group([i.lift(7)])
+    assert i in c4_7 and qt.Spin4Element(qt.quat_one(), qt.quat_i()) not in c4_7
+    assert c4_7.conjugacy_class(i) == c4_7.conjugacy_class(i.lift(7))
+    assert len(c4_7.extension(spin_left(qt.quat_j()))) == 8

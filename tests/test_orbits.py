@@ -33,7 +33,7 @@ def test_profile_boundary_and_positivity():
     t0, t1 = prof.domain
     assert prof.value(t0) == 0.0 and prof.value(t1) == pytest.approx(0.0, abs=1e-15)
     ts = np.linspace(t0 + 1e-6, t1 - 1e-6, 1000)
-    assert np.all(prof.values(ts) > 0)
+    assert np.all(prof.value(ts) > 0)
 
 
 def test_small_t_asymptotics():
@@ -180,10 +180,35 @@ def test_validate_profile_raises_on_fake_profile(monkeypatch):
     def fake_value(self, t):
         if self.kind == "weighted" and self.params == (2, 1):
             k, l = 1, 1
-            s, c = math.sin(t), math.cos(t)
-            return s * c / math.sqrt(l * l * s * s + k * k * c * c)
+            s, c = np.sin(t), np.cos(t)
+            return s * c / np.sqrt(l * l * s * s + k * k * c * c)
         return real_value(self, t)
 
     monkeypatch.setattr(ob.RevolutionProfile, "value", fake_value)
     with pytest.raises(OracleMismatch):
         ob.validate_profile(act, samples=10, seed=3, tol=1e-3)
+
+
+# Each row once missed the geodesic through the tangency at c = c_max: the
+# target angle lay between the end values of the direct and turning branches.
+@pytest.mark.parametrize(
+    "weights, samples, seed",
+    [((1, 1), 1, 230), ((3, 2), 1, 273), ((1, 1), 8, 4), ((1, 1), 30, 1877894435)],
+)
+def test_profile_distance_brackets_the_tangency(weights, samples, seed):
+    act = ob.WeightedAction(*weights)
+    assert ob.validate_profile(act, samples=samples, seed=seed) < 1e-3
+    if weights != (1, 1):
+        return
+    # the (1,1) quotient is the round sphere of radius 1/2: exact distances
+    prof = ob.profile(act)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        p, q = raw[:2] / np.linalg.norm(raw[:2]), raw[2:] / np.linalg.norm(raw[2:])
+        (t1, f1), (t2, f2) = ob.quotient_coordinates(act, p), ob.quotient_coordinates(act, q)
+        cosang = math.cos(2 * t1) * math.cos(2 * t2) + math.sin(2 * t1) * math.sin(
+            2 * t2
+        ) * math.cos(f1 - f2)
+        exact = 0.5 * math.acos(max(-1.0, min(1.0, cosang)))
+        assert ob.profile_distance(prof, (t1, f1), (t2, f2)) == pytest.approx(exact, abs=1e-6)
