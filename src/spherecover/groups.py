@@ -5,16 +5,19 @@ computes anyway: its elements in discovery order (identity first), the
 right Cayley table ``right[s][x] = x * s`` for every generator ``s``, and
 the spanning tree of the search, ``x = parent[x] * gen[x]``.  Left
 multiplication by the generators and all inverses follow along the tree
-in one pass, so products, conjugation, conjugacy classes, normal
-closures, derived series and abelianizations run on integers only.
-Exact elements are multiplied only while the table is built; afterwards
-they serve geometry and membership lookups.  The same engine drives
-quaternionic rotation groups and the groups read off coset tables.
+in one pass, made on first use, so products, conjugation, conjugacy
+classes, normal closures, derived series and abelianizations run on
+integers only.  The same engine drives quaternionic rotation groups and
+the groups read off coset tables.  A rotation group multiplies exact
+quaternions only while closing its two factor projections; the group
+itself closes on pairs of factor indices, and its elements then serve
+geometry and membership lookups.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from . import quaternions as qt
 from .errors import (
@@ -42,24 +45,34 @@ class FiniteGroup:
         self.right = right
         self.parent = parent
         self.gen = gen
+
+    @cached_property
+    def left(self):
+        """Left generator columns: s * (p * t) = (s * p) * t follows the tree."""
+        right, parent, gen = self.right, self.parent, self.gen
         n = len(self.elements)
-        # s * (p * t) = (s * p) * t: left columns follow the tree
-        self.left = []
+        out = []
         for col in right:
             lcol = [col[0]] * n
             for x in range(1, n):
                 lcol[x] = right[gen[x]][lcol[parent[x]]]
-            self.left.append(lcol)
-        # (p * t)^-1 = t^-1 * p^-1, with t^-1 * y read off the inverted left column
+            out.append(lcol)
+        return out
+
+    @cached_property
+    def inverse(self):
+        """(p * t)^-1 = t^-1 * p^-1, with t^-1 * y read off the inverted left column."""
+        n = len(self.elements)
         linv = []
         for lcol in self.left:
             icol = [0] * n
             for x, y in enumerate(lcol):
                 icol[y] = x
             linv.append(icol)
-        self.inverse = [0] * n
+        inverse = [0] * n
         for x in range(1, n):
-            self.inverse[x] = linv[gen[x]][self.inverse[parent[x]]]
+            inverse[x] = linv[self.gen[x]][inverse[self.parent[x]]]
+        return inverse
 
     # -- construction -----------------------------------------------------
 
@@ -92,15 +105,11 @@ class FiniteGroup:
         return cls(labels, right, parent, gen)
 
     @classmethod
-    def generate(cls, gens, cap=DEFAULT_GROUP_CAP, identity=None):
-        """Breadth-first closure of the generators under multiplication."""
+    def generate(cls, identity, gens, cap=DEFAULT_GROUP_CAP):
+        """Breadth-first closure of the generators under exact multiplication."""
         if cap < 1:
             raise ValueError("cap must be >= 1")
         gens = list(gens)
-        if identity is None:
-            if not gens:
-                raise ValueError("need generators or an explicit identity")
-            identity = gens[0] * gens[0].inverse()
         return cls.closure(identity, len(gens), lambda e, s: e * gens[s], cap)
 
     def subgroup(self, idxs):
@@ -310,17 +319,34 @@ class FiniteRotationGroup(FiniteGroup):
 
     @classmethod
     def generate_rotations(cls, gens, cap=DEFAULT_GROUP_CAP):
+        """Closure of Spin(4) elements, run on indices into its two factor groups.
+
+        The group lies in L x R, with L and R the groups generated by the
+        left and the right quaternions, neither larger than it (Goursat).
+        L and R are closed exactly; the group is then the breadth-first
+        closure of index pairs under (a, b) s = (a l_s, b r_s), read off
+        their tables, in the order element-level closure would find it.
+        """
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
+        if not all(isinstance(g, qt.Spin4Element) for g in gens):
+            raise WrongAmbient(
+                "generators must be Spin(4) elements; SO(4) groups come from to_so4"
+            )
         # One conductor per group: element hashes are conductor-scoped, so the
         # closure must never mix representations of the same value.
         conductor = math.lcm(*(g.conductor() for g in gens))
         gens = [g.lift(conductor) for g in gens]
-        identity = qt.spin_identity()
-        if isinstance(gens[0], qt.RotationClass):
-            identity = qt.RotationClass(identity)
-        return cls.generate(gens, cap=cap, identity=identity.lift(conductor))
+        one = qt.quat_one().lift(conductor)
+        lq = FiniteGroup.generate(one, [g.left for g in gens], cap)
+        rq = FiniteGroup.generate(one, [g.right for g in gens], cap)
+        lcols, rcols = lq.right, rq.right
+        pairs = FiniteGroup.closure(
+            (0, 0), len(gens), lambda p, s: (lcols[s][p[0]], rcols[s][p[1]]), cap
+        )
+        elements = [qt.Spin4Element(lq.elements[a], rq.elements[b]) for a, b in pairs.elements]
+        return cls(elements, pairs.right, pairs.parent, pairs.gen)
 
     def generators(self):
         return [self.elements[i] for i in self.gens_idx]
@@ -367,36 +393,6 @@ class FiniteRotationGroup(FiniteGroup):
         elements = [qt.RotationClass(self.elements[x]) for x in reps]
         return FiniteRotationGroup(elements, right, parent, gen)
 
-    def extension(self, t, cap=DEFAULT_GROUP_CAP):
-        """<H, t> as the cosets H, Ht, ..., Ht^(r-1), r least with t^r in H.
-
-        t must normalize H.  It is lifted once to the group's conductor;
-        a t whose conductor does not divide it raises ConductorMismatch.
-        Only the conjugates t^i s t^-i of the generators, the powers of t
-        and the coset elements are exact products: the table follows from
-        (h t^i) s = (h t^i s t^-i) t^i and (h t^(r-1)) t = h t^r.
-        """
-        t = self._at_conductor(t)
-        n, t_inv = len(self), t.inverse()
-        powers, conj = [self.elements[self.identity_idx]], [self.gens_idx]
-        while (top := powers[-1] * t) not in self.index:
-            if n * (len(powers) + 1) > cap:
-                raise CapExceeded(cap)
-            powers.append(top)
-            conj.append([self.index.get(t * self.elements[c] * t_inv) for c in conj[-1]])
-            if None in conj[-1]:
-                raise NotMember(f"{t!r} does not normalize the group")
-        h, shifted = range(n), range(n * (len(powers) - 1))
-        right = [
-            col + [i * n + self.imul(x, cs[s]) for i, cs in enumerate(conj[1:], 1) for x in h]
-            for s, col in enumerate(self.right)
-        ]
-        right.append([x + n for x in shifted] + [self.imul(x, self.index[top]) for x in h])
-        parent = self.parent + list(shifted)
-        gen = self.gen + [len(self.right)] * len(shifted)
-        elements = self.elements + [e * p for p in powers[1:] for e in self.elements]
-        return FiniteRotationGroup(elements, right, parent, gen)
-
     def acts_freely(self):
         """(True, None) iff no non-identity rotation fixes a point of S^3.
 
@@ -431,7 +427,7 @@ class FiniteRotationGroup(FiniteGroup):
 
 
 def generate_group(gens, cap=DEFAULT_GROUP_CAP):
-    """Closure of Spin(4) elements or rotation classes into a rotation group."""
+    """Closure of Spin(4) elements into a rotation group."""
     return FiniteRotationGroup.generate_rotations(gens, cap=cap)
 
 

@@ -266,10 +266,21 @@ def torus_knot(p, q):
         raise SpecViolation("torus parameters must be >= 2")
     if math.gcd(p, q) != 1:
         raise NotAKnot(f"torus({p},{q}) closes to a {math.gcd(p, q)}-component link")
+    _check_crossings((p - 1) * q, f"torus({p},{q})")
     return BraidWord(p, tuple(list(range(1, p)) * q))
 
 
 # -- generic diagram assembly -----------------------------------------------------
+
+MAX_CROSSINGS = 1000
+
+
+def _check_crossings(count, what):
+    """Refuse, before any assembly, a diagram with more than MAX_CROSSINGS crossings."""
+    if count > MAX_CROSSINGS:
+        raise ValidationError(
+            f"{what} has {count} crossings, above the limit MAX_CROSSINGS = {MAX_CROSSINGS}"
+        )
 
 
 class _Assembler:
@@ -359,6 +370,7 @@ class _Assembler:
 
 def braid_to_diagram(braid, name=""):
     """Close a braid word into a knot diagram; rejects multi-component closures."""
+    _check_crossings(len(braid.letters), "braid closure")
     if braid.closure_components() != 1:
         raise NotAKnot(
             f"braid closure has {braid.closure_components()} components"
@@ -443,6 +455,7 @@ def rational_tangle(asm, p, q):
     reciprocal.
     """
     terms = continued_fraction(p, q)
+    _check_crossings(sum(map(abs, terms)), f"rational tangle {p}/{q}")
     tangle = _Tangle(asm)
     for pos in range(len(terms) - 1, -1, -1):
         a = terms[pos]
@@ -486,6 +499,8 @@ def montesinos(e, fractions, name=""):
             raise SpecViolation("tangle numerators must be positive")
         if math.gcd(num, den) != 1:
             raise SpecViolation("tangle fractions must be reduced")
+    twists = abs(e) + sum(sum(map(abs, continued_fraction(num, den))) for num, den in fractions)
+    _check_crossings(twists, "montesinos diagram")
     if not fractions:
         return braid_to_diagram(
             BraidWord(2, tuple([1 if e > 0 else -1] * abs(e))) if e else BraidWord(1, ()),

@@ -72,15 +72,16 @@ class GroupPresentation:
         head, _, tail = text.partition(";")
         if not head.strip().startswith("gens="):
             raise ValidationError("presentation text must start with 'gens=n;'")
-        ngens = int(head.strip()[len("gens="):])
         tail = tail.strip()
         if not tail.startswith("rel="):
             raise ValidationError("presentation text needs 'rel=' relator list")
         body = tail[len("rel="):].strip()
-        relators = []
-        if body:
-            for chunk in body.split(","):
-                relators.append(tuple(int(t) for t in chunk.split()))
+        chunks = body.split(",") if body else []
+        try:
+            ngens = int(head.strip()[len("gens="):])
+            relators = [tuple(int(t) for t in chunk.split()) for chunk in chunks]
+        except ValueError as exc:
+            raise ValidationError(f"presentation text has a non-integer field: {exc}") from None
         return cls.make(ngens, relators)
 
 

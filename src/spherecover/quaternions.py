@@ -30,12 +30,11 @@ def _unify4(coords):
 class UnitQuaternion:
     """Quaternion with ExactScalar coordinates and exact unit norm."""
 
-    __slots__ = ("coords", "_hash", "_circle")
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, a, b, c, d, check=True):
         self.coords = _unify4((a, b, c, d))
         self._hash = None
-        self._circle = None
         if check and not self.norm_squared().__eq__(1):
             raise ValueError(f"quaternion is not a unit: {self.coords}")
 
@@ -44,7 +43,6 @@ class UnitQuaternion:
         q = object.__new__(cls)
         q.coords = coords
         q._hash = None
-        q._circle = None
         return q
 
     def norm_squared(self):
@@ -62,17 +60,7 @@ class UnitQuaternion:
         if not isinstance(other, UnitQuaternion):
             return NotImplemented
         a1, b1, c1, d1 = self.coords
-        if self.coords[0].conductor != other.coords[0].conductor:
-            l = math.lcm(self.coords[0].conductor, other.coords[0].conductor)
-            a1, b1, c1, d1 = (x.lift(l) for x in self.coords)
-            a2, b2, c2, d2 = (x.lift(l) for x in other.coords)
-        else:
-            a2, b2, c2, d2 = other.coords
-        if self.is_circle_factor() and other.is_circle_factor():
-            # complex multiplication in the e^{i phi} circle
-            return UnitQuaternion._raw(
-                (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, c1, d1)
-            )
+        a2, b2, c2, d2 = other.coords
         return UnitQuaternion._raw(
             (
                 a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
@@ -94,14 +82,9 @@ class UnitQuaternion:
     def lift(self, conductor):
         return UnitQuaternion._raw(tuple(x.lift(conductor) for x in self.coords))
 
-    def is_real(self):
-        return self.coords[1].is_zero() and self.coords[2].is_zero() and self.coords[3].is_zero()
-
     def is_circle_factor(self):
         """True when the quaternion lies in the e^{i*phi} circle (no j,k part)."""
-        if self._circle is None:
-            self._circle = self.coords[2].is_zero() and self.coords[3].is_zero()
-        return self._circle
+        return self.coords[2].is_zero() and self.coords[3].is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, UnitQuaternion):
@@ -112,9 +95,6 @@ class UnitQuaternion:
         if self._hash is None:
             self._hash = hash(tuple(self.coords))
         return self._hash
-
-    def to_floats(self):
-        return tuple(x.to_float() for x in self.coords)
 
     def __repr__(self):
         return "Quat(%s)" % ", ".join(repr(x) for x in self.coords)

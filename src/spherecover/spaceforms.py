@@ -176,7 +176,7 @@ def build(spec, cap=DEFAULT_GROUP_CAP, allow_invalid=False):
     gens = [g.lift(conductor) for g in gens]
     iota_hat = iota_hat.lift(conductor)
     pi_hat = generate_group(gens, cap=cap)
-    gamma_hat = pi_hat.extension(iota_hat, cap=cap)
+    gamma_hat = generate_group(gens + [iota_hat], cap=cap)
     return SpaceFormCertificate(
         spec=spec,
         conductor=conductor,

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -160,6 +161,25 @@ def test_corpus_malformed_integer_rows_are_row_errors(tmp_path):
     assert sorted(errors) == ["b", "m1", "m2", "t"]
     assert all(err.startswith("ParseError") for err in errors.values())
     assert "row_errors: 4" in out
+
+
+def test_crossing_limit_rows_fail_fast(tmp_path):
+    corpus = tmp_path / "big.tsv"
+    corpus.write_text(
+        "t\ttorus\t1000 1001\n"
+        "b\ttwobridge\t1000001 1\n"
+        "ok\tpd\t" + TREFOIL_PD + "\n"
+    )
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(["corpus", "run", "--corpus", str(corpus), "--format", "json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4
+    recs = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    errors = {rec["name"]: rec["error"] for rec in recs if "error" in rec}
+    assert sorted(errors) == ["b", "t"]
+    assert all("MAX_CROSSINGS = 1000" in err for err in errors.values())
+    code, _, err = run_cli(["knot", "analyze", "--torus", "1000", "1001"])
+    assert code == 1 and "ValidationError" in err and "MAX_CROSSINGS" in err
 
 
 def test_corpus_recomputes_corrupt_cache_entry(tmp_path):

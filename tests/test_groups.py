@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
-from spherecover import cyclotomic as cy
 from spherecover import quaternions as qt
 from spherecover import spaceforms as sf
 from spherecover.errors import CapExceeded, NotMember, WrongAmbient
-from spherecover.groups import FiniteRotationGroup, generate_group, quaternion_group_q8
+from spherecover.groups import generate_group, quaternion_group_q8
 from spherecover.spaceforms import (
     binary_icosahedral_generators,
     octahedral_extra_generator,
@@ -113,15 +110,16 @@ def test_lagrange_on_subgroup_ops(icosa):
 
 def test_acts_freely_and_witness():
     # lens-type cyclic group acting freely
-    g = qt.RotationClass(
-        qt.Spin4Element(qt.circle_quaternion(1, 5), qt.circle_quaternion(3, 5))
-    )
-    free_group = generate_group([g], cap=32)
-    free, witness = free_group.acts_freely()
+    g = qt.Spin4Element(qt.circle_quaternion(1, 5), qt.circle_quaternion(3, 5))
+    free_spin = generate_group([g], cap=32)
+    assert free_spin.order == 5
+    free, witness = free_spin.to_so4().acts_freely()
     assert free and witness is None
     # any group containing the class of (j, j) is not free
-    jj = qt.RotationClass(qt.Spin4Element(qt.quat_j(), qt.quat_j()))
-    not_free = generate_group([g.lift(20), jj.lift(20)], cap=256)
+    jj = qt.Spin4Element(qt.quat_j(), qt.quat_j())
+    not_free_spin = generate_group([g.lift(20), jj.lift(20)], cap=256)
+    assert not_free_spin.order == 20
+    not_free = not_free_spin.to_so4()
     free, witness = not_free.acts_freely()
     assert not free
     assert qt.has_fixed_points(witness)
@@ -130,6 +128,12 @@ def test_acts_freely_and_witness():
 def test_acts_freely_needs_so4(q8):
     with pytest.raises(WrongAmbient):
         q8.acts_freely()
+
+
+def test_rotation_groups_close_on_spin_elements(q8):
+    # SO(4) groups come from to_so4 only
+    with pytest.raises(WrongAmbient):
+        generate_group([qt.RotationClass(e) for e in q8.generators()])
 
 
 def test_subgroup_intersections(icosa):
@@ -164,30 +168,25 @@ def test_subgroup_intersections_wrong_ambient():
 )
 def test_extension_matches_breadth_first_closure(spec, r):
     cert = sf.build(spec)
-    reference = generate_group(cert.pi_hat.generators() + [cert.iota_hat])
-    gamma_hat = cert.pi_hat.extension(cert.iota_hat)
-    assert set(gamma_hat.elements) == set(reference.elements)
-    assert len(gamma_hat) == r * len(cert.pi_hat)
-    gens = gamma_hat.generators()
-    for s, col in enumerate(gamma_hat.right):
-        for x, y in enumerate(col):
-            assert gamma_hat.elements[y] == gamma_hat.elements[x] * gens[s]
+    assert len(cert.gamma_hat) == r * len(cert.pi_hat)
+    # the pair closure's tables agree cell by cell with exact products
+    for group in (cert.pi_hat, cert.gamma_hat):
+        gens = group.generators()
+        for s, col in enumerate(group.right):
+            for x, y in enumerate(col):
+                assert group.elements[y] == group.elements[x] * gens[s]
 
 
-def test_extension_by_element_normalizer_and_cap(q8):
-    c4 = generate_group([spin_left(qt.quat_i())])
-    assert set(c4.extension(spin_left(qt.quat_j())).elements) == set(q8.elements)
-    assert len(c4.extension(spin_left(-qt.quat_one()))) == 4  # t in H: r = 1
-    h = Fraction(1, 2)
-    omega = spin_left(qt.quat(h, h, h, h))  # conjugates i to j
-    with pytest.raises(NotMember):
-        c4.extension(omega)
-    # a central t of order 7: one conductor for H and t, r = 7
-    seventh = qt.Spin4Element(qt.quat_one(), qt.circle_quaternion(1, 7))
-    c4 = generate_group([spin_left(qt.quat_i()).lift(seventh.conductor())])
-    assert len(c4.extension(seventh)) == 28
+def test_pair_closure_cap_counts_pairs():
+    # each factor has order 3, but the pairs make a group of order 9
+    zeta = qt.circle_quaternion(1, 3)
+    one = qt.quat_one()
+    gens = [qt.Spin4Element(zeta, one), qt.Spin4Element(one, zeta)]
     with pytest.raises(CapExceeded):
-        c4.extension(seventh, cap=20)
+        generate_group(gens, cap=8)
+    group = generate_group(gens, cap=9)
+    assert group.order == 9
+    assert group.subgroup_intersections() == (3, 3, 3)
 
 
 def test_lookups_happen_at_the_group_conductor():
@@ -197,7 +196,6 @@ def test_lookups_happen_at_the_group_conductor():
     for lookup in (
         lambda: i.lift(7) in c4,
         lambda: c4.conjugacy_class(i.lift(7)),
-        lambda: c4.extension(i.lift(7)),
     ):
         with pytest.raises(WrongAmbient, match="conductor 7.*conductor 1"):
             lookup()
@@ -205,4 +203,3 @@ def test_lookups_happen_at_the_group_conductor():
     c4_7 = generate_group([i.lift(7)])
     assert i in c4_7 and qt.Spin4Element(qt.quat_one(), qt.quat_i()) not in c4_7
     assert c4_7.conjugacy_class(i) == c4_7.conjugacy_class(i.lift(7))
-    assert len(c4_7.extension(spin_left(qt.quat_j()))) == 8

@@ -291,3 +291,21 @@ def test_determinants_odd_on_generated_family():
         assert kn.determinant(kn.two_bridge(p, q)) % 2 == 1
     for p, q in [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7)]:
         assert kn.determinant(kn.braid_to_diagram(kn.torus_knot(p, q))) % 2 == 1
+
+
+def test_crossing_limit_is_checked_before_assembly():
+    limit = "MAX_CROSSINGS = 1000"
+    assert kn.MAX_CROSSINGS == 1000
+    with pytest.raises(ValidationError, match=limit):
+        kn.torus_knot(1000, 1001)
+    with pytest.raises(ValidationError, match=limit):
+        kn.torus_knot(2, 1001)
+    assert len(kn.torus_knot(2, 999).letters) == 999
+    with pytest.raises(ValidationError, match=limit):
+        kn.braid_to_diagram(kn.BraidWord(2, (1,) * 1001))
+    with pytest.raises(ValidationError, match=limit):
+        kn.two_bridge(1000001, 1)
+    with pytest.raises(ValidationError, match=limit):
+        kn.montesinos(10**9, [])
+    with pytest.raises(ValidationError, match=limit):
+        kn.montesinos(1, [(1, 3), (999, 1)])  # 1 + 3 + 999 twists

@@ -22,6 +22,12 @@ def test_presentation_text_roundtrip():
         pr.GroupPresentation.make(1, [(2,)])
 
 
+@pytest.mark.parametrize("text", ["gens=x; rel= 1", "gens=2; rel= 1 a", "gens=; rel="])
+def test_presentation_parse_rejects_non_integers(text):
+    with pytest.raises(ValidationError, match="non-integer"):
+        pr.GroupPresentation.parse(text)
+
+
 # -- Wirtinger and quotients ----------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from spherecover import quaternions as qt
@@ -182,3 +184,20 @@ def test_real_part_criterion_runs_on_every_class_member(monkeypatch):
         sf.verify(cert)
     with pytest.raises(InternalInconsistency):
         sf.involution_uniqueness_scan(cert)
+
+
+def test_check_three_decides_normalization(monkeypatch):
+    # omega = (1+i+j+k)/2 conjugates i to j, so it does not normalize <(i, 1)>
+    one, i = qt.quat_one(), qt.quat_i()
+    h = Fraction(1, 2)
+    omega = qt.Spin4Element(qt.quat(h, h, h, h), one)
+    monkeypatch.setattr(
+        sf, "_build_generators", lambda spec: ([qt.Spin4Element(i, one)], omega)
+    )
+    cert = sf.build(sf.SpaceFormSpec(sf.CYCLIC, m=1, p=1))
+    assert len(cert.gamma_hat) == 24  # <i, omega> is the binary tetrahedral group
+    ok, detail = sf.verify(cert)["3_normalizes"]
+    assert not ok
+    escaping = qt.Spin4Element(i, one)
+    assert cert.pi_hat.generators() == [escaping]
+    assert detail == f"conjugate of {escaping!r} escapes"
