@@ -2,8 +2,9 @@
 
 For each diagram the pipeline computes the determinant and the homology
 of the double branched cover from the crossing incidence matrix, then
-independently enumerates the meridian-squared quotient of the knot group
-and extracts the cover group as the parity kernel of the regular action.
+independently enumerates the meridian-squared quotient of the knot group,
+on its Tietze-reduced Wirtinger presentation, and extracts the cover group
+as the parity kernel of the regular action.
 The two routes must agree (the homology order is the determinant), the
 cover order must never be 2, and order 1 must coincide with determinant 1
 -- the report carries these consistency bits rather than assuming them.
@@ -114,7 +115,7 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
         raise InternalInconsistency(
             f"{report.name}: determinant {det} != homology order {h1.order()}"
         )
-    pres = pr.wirtinger(diagram)
+    pres = pr.bridge_presentation(pr.wirtinger(diagram))
     orb = pr.orbifold_quotient(pres)
     outcome = pr.todd_coxeter(orb, cap=coset_cap)
     if outcome.finite:

@@ -23,12 +23,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import DivisionByZero, InternalInconsistency, NotReal
 
 # Default conductor: covers sqrt(2) (via zeta_8), sqrt(3) (zeta_12),
 # sqrt(5) (zeta_5) and cos(pi/m) for 2m | 120.
 DEFAULT_CONDUCTOR = 120
+
+# Private interval context for the sign fallback, so mpmath.iv is never touched.
+_IV = MPIntervalContext()
 
 _ZERO = Fraction(0)
 
@@ -448,24 +452,20 @@ class ExactScalar:
         except OverflowError:
             pass
         n = self.conductor
+        iv = _IV
         prec = 128
         while prec <= 1 << 16:
-            iv = mpmath.iv
-            old = iv.prec
-            try:
-                iv.prec = prec
-                tau = 2 * iv.pi
-                total = iv.mpf(0)
-                for e, v in canon:
-                    total += iv.mpf(v) / iv.mpf(den) * iv.cos(tau * e / n)
-                if total > 0:
-                    return 1
-                if total < 0:
-                    return -1
-            finally:
-                iv.prec = old
+            iv.prec = prec
+            tau = 2 * iv.pi
+            total = iv.mpf(0)
+            for e, v in canon:
+                total += iv.mpf(v) / iv.mpf(den) * iv.cos(tau * e / n)
+            if total > 0:
+                return 1
+            if total < 0:
+                return -1
             prec *= 2
-        raise RuntimeError("could not certify sign at 65536 bits")  # pragma: no cover
+        raise InternalInconsistency("could not certify sign at 65536 bits")  # pragma: no cover
 
     def __lt__(self, other):
         a, b = self._coerce(other)
@@ -487,17 +487,13 @@ class ExactScalar:
         """Float embedding via zeta_N -> exp(2*pi*i/N), good to ~1e-15 relative."""
         if self._float is None:
             n = self.conductor
-            old = mpmath.mp.prec
-            try:
-                mpmath.mp.prec = 120
+            with mpmath.workprec(120):
                 tau = 2 * mpmath.pi
                 total = mpmath.mpf(0)
                 den = mpmath.mpf(self._den)
                 for e, v in self._num.items():
                     total += mpmath.mpf(v) / den * mpmath.cos(tau * e / n)
                 self._float = float(total)
-            finally:
-                mpmath.mp.prec = old
         return self._float
 
     def __repr__(self):

@@ -56,10 +56,6 @@ class KnotDiagram:
     def crossing_count(self):
         return len(self.crossings)
 
-    @property
-    def edge_count(self):
-        return 2 * len(self.crossings)
-
     def pd_text(self):
         inner = ",".join("(%d,%d,%d,%d)" % c.edges for c in self.crossings)
         return f"[{inner}]"

@@ -127,11 +127,6 @@ def compare(prof_a, prof_b, grid_size=10_000, tol=RunConfig.tol_grid):
 # -- distances ----------------------------------------------------------------------
 
 
-def round_s3_distance(p, q):
-    inner = (p[0] * q[0].conjugate() + p[1] * q[1].conjugate()).real
-    return math.acos(max(-1.0, min(1.0, inner)))
-
-
 def orbit_distance(action, p, q, grid=2048):
     """Distance between the orbits of p and q: min over the circle parameter.
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from spherecover import cyclotomic as cy
@@ -55,6 +56,17 @@ def test_sign_determination():
     # a value within 1e-5 of zero still gets an exact sign
     close = cy.sqrt2() - Fraction(141421356237, 100000000000)
     assert close.sign() == (1 if math.sqrt(2) > 1.41421356237 else -1)
+
+
+def test_sign_fallback_uses_its_own_interval_context(monkeypatch):
+    tiny = (cy.sqrt2() - 1) ** 40  # about 4.9e-16: the double fast path cannot decide
+    assert tiny._float_fast()[0] == 0.0
+    monkeypatch.setattr(mpmath, "iv", None)  # the global interval context is never used
+    monkeypatch.setattr(mpmath.mp, "prec", 20)
+    assert tiny.sign() == 1
+    assert (-tiny).sign() == -1
+    assert tiny.to_float() == pytest.approx((math.sqrt(2) - 1) ** 40, rel=1e-12)
+    assert mpmath.mp.prec == 20
 
 
 def test_to_float_named_constants():

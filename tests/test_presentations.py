@@ -1,7 +1,9 @@
 import pytest
 
+from spherecover import analyzer as an
 from spherecover import knots as kn
 from spherecover import presentations as pr
+from spherecover.config import packaged_corpus_text
 from spherecover.errors import InternalInconsistency, NotIndexTwo, ValidationError
 from spherecover.linalg import cokernel
 
@@ -20,6 +22,14 @@ def test_presentation_text_roundtrip():
     assert q == p
     with pytest.raises(ValidationError):
         pr.GroupPresentation.make(1, [(2,)])
+
+
+def test_presentation_rejects_negative_generator_count():
+    with pytest.raises(ValidationError, match="negative"):
+        pr.GroupPresentation.parse("gens=-1; rel=")
+    with pytest.raises(ValidationError, match="negative"):
+        pr.GroupPresentation.make(-1, [])
+    assert pr.GroupPresentation.parse("gens=0; rel=").ngens == 0
 
 
 @pytest.mark.parametrize("text", ["gens=x; rel= 1", "gens=2; rel= 1 a", "gens=; rel="])
@@ -76,6 +86,80 @@ def test_orbifold_quotient_orders():
     orb = pr.orbifold_quotient(pr.wirtinger(fig8))
     assert pr.todd_coxeter(orb, 100).order == 10
     assert str(pr.abelianize(tre)) == "Z/2"
+
+
+# -- Tietze reduction to a bridge presentation ------------------------------------
+
+STABILIZED_T35 = kn.BraidWord(4, (1,) + (1, 2) * 5 + (-1, 3))
+BRAIDS = [
+    kn.torus_knot(3, 4),
+    kn.torus_knot(3, 5),
+    kn.torus_knot(3, 7),
+    STABILIZED_T35,
+    kn.torus_knot(2, 31),
+]
+
+
+@pytest.mark.parametrize("braid", BRAIDS, ids=["T34", "T35", "T37", "T35-stabilized", "T2_31"])
+def test_braid_closures_reduce_to_the_strand_count(braid):
+    wirt = pr.wirtinger(kn.braid_to_diagram(braid))
+    bridge = pr.bridge_presentation(wirt)
+    assert bridge.ngens <= braid.strands < wirt.ngens
+    assert all(len(r) <= pr.MAX_RELATOR_LENGTH for r in bridge.relators)
+
+
+def test_reduction_never_adds_generators_and_keeps_the_knot_group_homology():
+    rows = an.parse_corpus(packaged_corpus_text())
+    diagrams = [an.diagram_from_payload(fmt, payload, name=name) for name, fmt, payload in rows]
+    for d in diagrams + [kn.braid_to_diagram(b) for b in BRAIDS]:
+        wirt = pr.wirtinger(d)
+        bridge = pr.bridge_presentation(wirt)
+        assert bridge.ngens <= wirt.ngens, d.name
+        assert str(pr.abelianize(bridge)) == "Z", d.name
+
+
+def hurwitz_orbifold(braid):
+    """Orbifold group read off the braid's action on the free group (test oracle).
+
+    x_i = beta(x)_i for every strand, plus the square of every x_i.
+    """
+    def inv(word):
+        return tuple(-x for x in reversed(word))
+
+    images = [(i,) for i in range(1, braid.strands + 1)]
+    for letter in braid.letters:
+        i = abs(letter) - 1
+        a, b = images[i], images[i + 1]
+        if letter > 0:
+            images[i], images[i + 1] = a + b + inv(a), a
+        else:
+            images[i], images[i + 1] = b, inv(b) + a + b
+    relators = [(-i,) + w for i, w in enumerate(images, start=1)]
+    relators += [(i, i) for i in range(1, braid.strands + 1)]
+    return pr.GroupPresentation.make(braid.strands, relators)
+
+
+@pytest.mark.parametrize("q,order", [(4, 48), (5, 240)])
+def test_reduced_orbifold_order_matches_the_hurwitz_presentation(q, order):
+    braid = kn.torus_knot(3, q)
+    bridge = pr.bridge_presentation(pr.wirtinger(kn.braid_to_diagram(braid)))
+    assert pr.todd_coxeter(pr.orbifold_quotient(bridge), 10_000).order == order
+    assert pr.todd_coxeter(hurwitz_orbifold(braid), 10_000).order == order
+
+
+def test_reduction_stops_at_the_relator_length_bound(monkeypatch):
+    wirt = pr.wirtinger(kn.braid_to_diagram(kn.torus_knot(3, 7)))
+    monkeypatch.setattr(pr, "MAX_RELATOR_LENGTH", 6)
+    capped = pr.bridge_presentation(wirt)
+    assert 3 < capped.ngens < wirt.ngens
+    assert max(len(r) for r in capped.relators) <= 6
+    assert str(pr.abelianize(capped)) == "Z"
+
+
+def test_reduction_guard_rejects_a_lost_generator(monkeypatch):
+    monkeypatch.setattr(pr, "_substitute", lambda rel, c, value, inverse: rel + (c, c))
+    with pytest.raises(InternalInconsistency, match="survivors"):
+        pr.bridge_presentation(pr.wirtinger(kn.braid_to_diagram(kn.torus_knot(3, 5))))
 
 
 # -- Todd-Coxeter ---------------------------------------------------------------
@@ -269,3 +353,6 @@ def test_rs_oracle_matches_determinant_and_cover(factory, expected):
     out = pr.todd_coxeter(orb, 10_000)
     _, cover = pr.branched_cover_group(out)
     assert cover.abelianization() == rs
+    reduced = pr.orbifold_quotient(pr.bridge_presentation(pr.wirtinger(d)))
+    assert reduced.ngens < orb.ngens
+    assert rs_kernel_abelianization(reduced) == rs == kn.h1_double_cover(d)
