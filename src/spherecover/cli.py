@@ -264,12 +264,13 @@ def cmd_corpus_run(args, config, out):
     else:
         fresh_rows = rows
     summary = analyzer.run_corpus(fresh_rows, coset_cap=config.coset_cap)
-    payload_of = {r[0]: (r[2], r[1]) for r in rows}
-    for report in summary.reports:
+    # run_corpus sorts its reports stably by name, so the same sort pairs each
+    # report with its own row even when two rows share a name
+    by_name = sorted(fresh_rows, key=lambda row: row[0])
+    for (_, fmt, payload), report in zip(by_name, summary.reports):
         rec = report.to_record(config.show_timing)
         records.append(rec)
         if cache and report.error is None:
-            payload, fmt = payload_of[report.name]
             key = cache.key_for(payload, fmt, config.coset_cap)
             nameless = {k: v for k, v in rec.items() if k != "name"}
             cache.put(key, json.dumps(nameless, sort_keys=False).encode())
@@ -387,7 +388,7 @@ def main(argv=None, out=None, err=None):
     }
     try:
         config = load_config(getattr(args, "config", None), overrides)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and bad JSON included
         err.write(f"config error: {exc}\n")
         return EXIT_INPUT
 

@@ -7,6 +7,8 @@ import os
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
+from .errors import ConfigError
+
 ENV_CONFIG = "SPHERECOVER_CONFIG"
 
 
@@ -23,32 +25,47 @@ class RunConfig:
     show_timing: bool = False
 
     def validate(self):
+        for f in fields(self):
+            accepts, kind = _ACCEPTS[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ConfigError(f"config field {f.name!r} must be {kind}, not {value!r}")
         if self.coset_cap < 1 or self.group_cap < 1:
-            raise ValueError("caps must be >= 1")
-        if min(self.tol_grid, self.tol_oracle) <= 0:
-            raise ValueError("tolerances must be positive")
+            raise ConfigError("caps must be >= 1")
+        if not (self.tol_grid > 0 and self.tol_oracle > 0):
+            raise ConfigError("tolerances must be positive")
         if self.output_format not in ("table", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+            raise ConfigError(f"unknown output format {self.output_format!r}")
         return self
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field annotation -> (test, what the field must be); bool is not a number here
+_ACCEPTS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 
 def _apply(config, mapping, source):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"config in {source} must be a JSON object")
     unknown = set(mapping) - _FIELD_NAMES
     if unknown:
-        raise ValueError(f"unknown config keys in {source}: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys in {source}: {sorted(unknown)}")
     return replace(config, **mapping)
 
 
-def default_config_text():
-    return resources.files("spherecover.data").joinpath("default_config.json").read_text()
-
-
 def load_config(path=None, overrides=None):
-    """Packaged defaults, then config file (arg or env), then overrides."""
-    config = _apply(RunConfig(), json.loads(default_config_text()), "packaged defaults")
+    """Field defaults, then config file (arg or env), then overrides."""
+    config = RunConfig()
     path = path or os.environ.get(ENV_CONFIG)
     if path:
         with open(path, encoding="utf-8") as fh:

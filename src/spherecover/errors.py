@@ -51,6 +51,10 @@ class ParseError(SphereCoverError):
         super().__init__(message)
 
 
+class ConfigError(SphereCoverError, ValueError):
+    """A run configuration is not a JSON object, or has a bad key or value."""
+
+
 class ValidationError(SphereCoverError):
     """A structurally well-formed diagram fails a consistency check."""
 

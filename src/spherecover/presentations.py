@@ -1,12 +1,13 @@
 """Finitely presented groups: Wirtinger data, coset enumeration, covers.
 
-The enumerator is the relator-based (HLT) strategy with periodic
-lookahead and table compaction: every live coset is scanned against every
-relator, gaps are filled by defining new cosets, and coincidences are
-merged through a union-find with table migration.  A completed table is
-certified post hoc -- all relators trace to the identity from every coset
-and the action is transitive -- before an order is reported; hitting the
-coset cap yields a table without an order, never a guess.
+The enumerator is the relator-based (HLT) strategy in one pass: every live
+coset is scanned against every relator, gaps are filled by defining new
+cosets, and coincidences are merged through a union-find with table
+migration.  A completed table is compacted once and certified post hoc --
+all relators trace to the identity from every coset and the action is
+transitive -- before an order is reported.  The first definition that would
+exceed the coset cap (counted in live cosets) ends the run at once, with a
+table without an order, never a guess.
 
 The double-branched-cover group of a knot is the index-2 kernel of the
 meridian parity map on the orbifold quotient (knot group modulo meridian
@@ -249,19 +250,14 @@ class _Enumerator:
         self.ngens = pres.ngens
         self.ncols = 2 * pres.ngens
         self.cap = cap
-        rels = []
-        for rel in pres.relators:
-            rel = cyclic_reduce(rel)
-            if rel:
-                rels.append(tuple(self._col(l) for l in rel))
-        self.relators = rels
+        self.relators = [r for r in map(cyclic_reduce, pres.relators) if r]
+        # column 2(g-1) is generator g, column 2(g-1)+1 its inverse
+        self.words = [
+            tuple(2 * (abs(l) - 1) + (l < 0) for l in rel) for rel in self.relators
+        ]
         self.table = [[-1] * self.ncols]
         self.p = [0]
         self.n_live = 1
-        self.dead = 0
-
-    def _col(self, letter):
-        return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
 
     def rep(self, k):
         p = self.p
@@ -279,7 +275,6 @@ class _Enumerator:
                 a, b = b, a
             self.p[b] = a
             self.n_live -= 1
-            self.dead += 1
             queue.append(b)
 
     def _coincidence(self, a, b):
@@ -314,9 +309,9 @@ class _Enumerator:
         self.n_live += 1
         table[alpha][x] = beta
         table[beta][x ^ 1] = alpha
-        return beta
 
-    def _scan(self, alpha, word, fill):
+    def _scan(self, alpha, word):
+        """Trace ``word`` from alpha both ways, defining cosets until it closes."""
         table = self.table
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
@@ -338,79 +333,39 @@ class _Enumerator:
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
                 return
-            if not fill:
-                return
             self._define(f, word[i])
 
-    def _lookahead(self):
-        for alpha in range(len(self.table)):
-            if self.p[alpha] != alpha:
-                continue
-            for word in self.relators:
-                self._scan(alpha, word, fill=False)
-                if self.p[alpha] != alpha:
-                    break
-
-    def _compact(self):
-        live = [i for i in range(len(self.table)) if self.p[i] == i]
-        remap = {old: new for new, old in enumerate(live)}
-        new_table = []
-        for old in live:
-            row = self.table[old]
-            new_table.append(
-                [remap[self.rep(v)] if v != -1 else -1 for v in row]
-            )
-        self.table = new_table
-        self.p = list(range(len(live)))
-        self.dead = 0
-
     def run(self):
+        """Scan each live coset under every relator, then fill its row's gaps."""
         alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] != alpha:
-                alpha += 1
-                continue
-            try:
-                for word in self.relators:
-                    self._scan(alpha, word, fill=True)
-                    if self.p[alpha] != alpha:
-                        break
+        try:
+            while alpha < len(self.table):
                 if self.p[alpha] == alpha:
-                    for x in range(self.ncols):
-                        if self.table[alpha][x] == -1:
-                            self._define(alpha, x)
+                    for word in self.words:
+                        self._scan(alpha, word)
+                        if self.p[alpha] != alpha:
+                            break
+                    else:
+                        for x in range(self.ncols):
+                            if self.table[alpha][x] == -1:
+                                self._define(alpha, x)
                 alpha += 1
-            except _TableFull:
-                before = self.n_live
-                self._lookahead()
-                self._compact()
-                alpha = 0  # renumbered; completed rows rescan cheaply
-                if self.n_live >= self.cap or before - self.n_live < max(
-                    16, before // 20
-                ):
-                    return self._capped()
-        self._compact()
+        except _TableFull:
+            return CosetTable(self.cap)
         return self._complete()
 
-    def _capped(self):
-        return CosetTable(self.cap)
-
     def _complete(self):
-        order = len(self.table)
+        """Renumber the live cosets 0..n-1 in order, then certify the table."""
+        live = [i for i in range(len(self.table)) if self.p[i] == i]
+        index = {old: new for new, old in enumerate(live)}
         perms = []
-        for g in range(self.ngens):
-            col = 2 * g
-            perms.append(tuple(self.table[i][col] for i in range(order)))
-        table = CosetTable(self.cap, order, tuple(perms))
-        if not certify_table(table, self.relators_signed()):
+        for col in range(0, self.ncols, 2):
+            entries = (self.table[old][col] for old in live)
+            perms.append(tuple(index[self.rep(v)] if v != -1 else -1 for v in entries))
+        table = CosetTable(self.cap, len(live), tuple(perms))
+        if not certify_table(table, self.relators):
             raise InternalInconsistency("completed coset table fails its certificate")
         return table
-
-    def relators_signed(self):
-        out = []
-        for word in self.relators:
-            out.append(tuple((x // 2 + 1) * (1 if x % 2 == 0 else -1) for x in word))
-        return out
 
 
 class _TableFull(Exception):

@@ -8,7 +8,7 @@ import pytest
 from spherecover import analyzer, cli
 from spherecover.cache import ResultCache
 from spherecover.config import RunConfig, load_config
-from spherecover.errors import InternalInconsistency
+from spherecover.errors import ConfigError, InternalInconsistency
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -197,6 +197,27 @@ def test_corpus_recomputes_corrupt_cache_entry(tmp_path):
     assert entry.read_bytes() == good
 
 
+def test_corpus_cache_keys_rows_by_payload_not_name(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    both = tmp_path / "both.tsv"
+    both.write_text("k\ttwobridge\t5 2\nk\ttwobridge\t7 2\n")
+    only7 = tmp_path / "only7.tsv"
+    only7.write_text("k\ttwobridge\t7 2\n")
+
+    def dets(corpus, *cache):
+        argv = ["corpus", "run", "--corpus", str(corpus), "--format", "json", *cache]
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        return sorted(json.loads(line)["det"] for line in out.splitlines() if line.startswith("{"))
+
+    # the second run hits the cached 7 2 row and computes the 5 2 row fresh;
+    # that fresh report must be stored under its own payload, not under 7 2
+    assert dets(only7, "--cache", cache_dir) == [7]
+    assert dets(both, "--cache", cache_dir) == [5, 7]
+    assert dets(only7, "--cache", cache_dir) == dets(only7) == [7]
+    assert dets(both, "--cache", cache_dir) == [5, 7]
+
+
 def test_corpus_determinism_without_cache(tmp_path):
     corpus = tmp_path / "mini.tsv"
     corpus.write_text("trefoil\tpd\t" + TREFOIL_PD + "\n")
@@ -210,6 +231,41 @@ def test_config_unknown_keys_rejected(tmp_path):
     code, _, err = run_cli(["--config", str(cfg), "knot", "analyze", "--pd", "[]"])
     assert code == 1
     assert "bogus" in err
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("null", "must be a JSON object"),
+        ("[1]", "must be a JSON object"),
+        ('{"coset_cap": "abc"}', "'coset_cap' must be an integer"),
+        ('{"coset_cap": true}', "'coset_cap' must be an integer"),
+        ('{"seed": "a"}', "'seed' must be an integer"),
+        ('{"tol_grid": "small"}', "'tol_grid' must be a number"),
+        ('{"tol_oracle": NaN}', "tolerances must be positive"),
+        ('{"show_timing": 1}', "'show_timing' must be true or false"),
+        ('{"cache_path": 3}', "'cache_path' must be a string or null"),
+        ('{"output_format": ["json"]}', "'output_format' must be a string"),
+    ],
+)
+def test_config_bad_document_is_a_config_error(tmp_path, text, fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(str(cfg))
+    code, out, err = run_cli(["--config", str(cfg), "knot", "analyze", "--pd", "[]"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+def test_config_defaults_are_the_record_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPHERECOVER_CONFIG", raising=False)
+    assert load_config() == RunConfig()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"coset_cap": 100}')
+    assert load_config(str(cfg), {"seed": 3}) == RunConfig(coset_cap=100, seed=3)
 
 
 def test_config_env_override(tmp_path, monkeypatch):

@@ -182,6 +182,36 @@ def test_todd_coxeter_free_group_inconclusive():
     assert out.cap == 1000
 
 
+def test_todd_coxeter_torus_3_7_orbifold_inconclusive():
+    # the (2,3,7) orbifold group is infinite, so the cap ends the run
+    diagram = kn.braid_to_diagram(kn.torus_knot(3, 7))
+    orb = pr.orbifold_quotient(pr.bridge_presentation(pr.wirtinger(diagram)))
+    out = pr.todd_coxeter(orb, 5000)
+    assert not out.finite
+    assert out.order is None
+    assert out.cap == 5000
+
+
+def test_coset_cap_counts_peak_live_cosets(monkeypatch):
+    # A4 = <a, b | a^2, b^3, (ab)^3> peaks at 14 live cosets on its way to 12
+    pres = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2)])
+    define = pr._Enumerator._define
+    peak = [1]
+
+    def tracked(self, alpha, x):
+        define(self, alpha, x)
+        peak[0] = max(peak[0], self.n_live)
+
+    monkeypatch.setattr(pr._Enumerator, "_define", tracked)
+    assert pr.todd_coxeter(pres, 10_000).order == 12
+    monkeypatch.undo()
+    assert peak[0] == 14
+    assert pr.todd_coxeter(pres, 14).order == 12
+    below = pr.todd_coxeter(pres, 13)
+    assert below.finite is False
+    assert below.order is None
+
+
 def test_completed_tables_are_certified():
     pres = pr.GroupPresentation.make(2, [(1, 1, 1), (2, 2), (1, 2, 1, 2)])
     out = pr.todd_coxeter(pres, 1000)
