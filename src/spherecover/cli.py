@@ -28,6 +28,7 @@ from .cache import ResultCache
 from .config import load_config, packaged_corpus_text
 from .errors import (
     CapExceeded,
+    InputFileError,
     InternalInconsistency,
     NotAKnot,
     OracleMismatch,
@@ -243,14 +244,27 @@ def _attach_name(cached_rec, name):
     return out
 
 
+def _read_corpus(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"corpus {path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise InputFileError(f"cannot read corpus: {exc}") from exc
+
+
+def _open_cache(path):
+    try:
+        return ResultCache(path)
+    except OSError as exc:
+        raise InputFileError(f"cannot use cache directory: {exc}") from exc
+
+
 def cmd_corpus_run(args, config, out):
-    if config.corpus_path:
-        with open(config.corpus_path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = packaged_corpus_text()
+    text = _read_corpus(config.corpus_path) if config.corpus_path else packaged_corpus_text()
     rows = analyzer.parse_corpus(text)
-    cache = ResultCache(config.cache_path) if config.cache_path else None
+    cache = _open_cache(config.cache_path) if config.cache_path else None
     records = []
     fresh_rows = []
     if cache:
@@ -410,6 +424,9 @@ def main(argv=None, out=None, err=None):
         return handler(args, config, out)
     except (ParseError, ValidationError, NotAKnot, SpecViolation, CapExceeded) as exc:
         err.write(f"{type(exc).__name__}: {exc}\n")
+        return EXIT_INPUT
+    except InputFileError as exc:
+        err.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except OracleMismatch as exc:
         err.write(f"OracleMismatch: {exc}\n")

@@ -25,7 +25,7 @@ from functools import lru_cache
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
-from .errors import DivisionByZero, InternalInconsistency, NotReal
+from .errors import DivisionByZero, InternalInconsistency, InvalidArgument, NotReal
 
 # Default conductor: covers sqrt(2) (via zeta_8), sqrt(3) (zeta_12),
 # sqrt(5) (zeta_5) and cos(pi/m) for 2m | 120.
@@ -101,7 +101,7 @@ class _FieldContext:
 @lru_cache(maxsize=None)
 def _context(n):
     if n < 1:
-        raise ValueError("conductor must be a positive integer")
+        raise InvalidArgument("conductor must be a positive integer")
     return _FieldContext(n)
 
 
@@ -224,7 +224,7 @@ class ExactScalar:
         if conductor == self.conductor:
             return self
         if conductor % self.conductor:
-            raise ValueError("conductor lift must go to a multiple")
+            raise InvalidArgument("conductor lift must go to a multiple")
         k = conductor // self.conductor
         ctx = _context(conductor)
         num = {}
@@ -253,7 +253,7 @@ class ExactScalar:
             return _ZERO
         if len(pairs) == 1 and pairs[0][0] == 0:
             return Fraction(pairs[0][1], d)
-        raise ValueError("scalar is not rational")
+        raise InvalidArgument("scalar is not rational")
 
     def conjugate_is_self(self):
         return self._conj_raw()._canon_key() == self._canon_key()
@@ -532,7 +532,7 @@ def one(conductor=1):
 def cos_tau(num, den):
     """cos(2*pi*num/den) as an exact scalar of conductor den."""
     if den < 1:
-        raise ValueError("denominator must be positive")
+        raise InvalidArgument("denominator must be positive")
     g = math.gcd(num, den)
     num, den = num // g, den // g
     terms = {}
@@ -562,6 +562,41 @@ def sqrt5():
 def golden_ratio():
     """(1 + sqrt(5)) / 2, equal to 1 + zeta_5 + zeta_5^4."""
     return scalar_make(5, {0: 1, 1: 1, 4: 1})
+
+
+def product_sum(terms):
+    """``sum(sign * a * b)`` over ``(sign, a, b)`` terms, made as one scalar.
+
+    Every product's numerators go straight into one exponent -> numerator
+    map over the terms' common denominator, and the sum is reduced once,
+    so no scalar is made per product or per partial sum.  Operands at
+    different conductors are lifted to their lcm first.
+    """
+    n = 1
+    for _, a, b in terms:
+        n = math.lcm(n, a.conductor, b.conductor)
+    terms = [(sign, a.lift(n), b.lift(n)) for sign, a, b in terms]
+    den = 1
+    for _, a, b in terms:
+        d = a._den * b._den
+        den = den * d // math.gcd(den, d)
+    half = _context(n).half
+    num = {}
+    for sign, a, b in terms:
+        scale = sign * (den // (a._den * b._den))
+        bitems = b._num.items()
+        for e1, v1 in a._num.items():
+            v1 *= scale
+            for e2, v2 in bitems:
+                e = e1 + e2
+                v = v1 * v2
+                if e >= n:
+                    e -= n
+                if e >= half:
+                    e -= half
+                    v = -v
+                num[e] = num.get(e, 0) + v
+    return ExactScalar._make(n, {e: v for e, v in num.items() if v}, den)
 
 
 def unify_conductor(scalars):

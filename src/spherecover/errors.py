@@ -55,6 +55,14 @@ class ConfigError(SphereCoverError, ValueError):
     """A run configuration is not a JSON object, or has a bad key or value."""
 
 
+class InvalidArgument(SphereCoverError, ValueError):
+    """A library call got an argument outside its domain (a bad cap, conductor or value)."""
+
+
+class InputFileError(SphereCoverError):
+    """A named input file cannot be read as text, or a cache directory cannot be made."""
+
+
 class ValidationError(SphereCoverError):
     """A structurally well-formed diagram fails a consistency check."""
 

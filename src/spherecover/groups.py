@@ -24,6 +24,7 @@ from .errors import (
     CapExceeded,
     ConductorMismatch,
     InternalInconsistency,
+    InvalidArgument,
     NotMember,
     WrongAmbient,
 )
@@ -41,7 +42,7 @@ class FiniteGroup:
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
-            raise ValueError("duplicate elements in group construction")
+            raise InvalidArgument("duplicate elements in group construction")
         self.right = right
         self.parent = parent
         self.gen = gen
@@ -108,9 +109,25 @@ class FiniteGroup:
     def generate(cls, identity, gens, cap=DEFAULT_GROUP_CAP):
         """Breadth-first closure of the generators under exact multiplication."""
         if cap < 1:
-            raise ValueError("cap must be >= 1")
+            raise InvalidArgument("cap must be >= 1")
         gens = list(gens)
         return cls.closure(identity, len(gens), lambda e, s: e * gens[s], cap)
+
+    def column_subgroup(self, ngens):
+        """The subgroup generated by the first ``ngens`` generators, on these elements.
+
+        Its closure reads this group's table, so it makes no product and
+        shares this group's element objects.  Breadth-first discovery
+        depends only on the generator-labelled Cayley graph, so the
+        elements, table and tree are those a closure of the same
+        generators from scratch would build.
+        """
+        right = self.right[:ngens]
+        sub = FiniteGroup.closure(
+            self.identity_idx, ngens, lambda x, s: right[s][x], len(self)
+        )
+        elements = [self.elements[x] for x in sub.elements]
+        return type(self)(elements, sub.right, sub.parent, sub.gen)
 
     def subgroup(self, idxs):
         """The subgroup generated by ``idxs`` as a group in its own right.
@@ -323,13 +340,14 @@ class FiniteRotationGroup(FiniteGroup):
 
         The group lies in L x R, with L and R the groups generated by the
         left and the right quaternions, neither larger than it (Goursat).
-        L and R are closed exactly; the group is then the breadth-first
-        closure of index pairs under (a, b) s = (a l_s, b r_s), read off
-        their tables, in the order element-level closure would find it.
+        L and R are closed exactly, each once on its distinct non-identity
+        generators; the group is then the breadth-first closure of index
+        pairs under (a, b) s = (a l_s, b r_s), read off their tables, in
+        the order element-level closure would find it.
         """
         gens = list(gens)
         if not gens:
-            raise ValueError("need at least one generator")
+            raise InvalidArgument("need at least one generator")
         if not all(isinstance(g, qt.Spin4Element) for g in gens):
             raise WrongAmbient(
                 "generators must be Spin(4) elements; SO(4) groups come from to_so4"
@@ -338,10 +356,9 @@ class FiniteRotationGroup(FiniteGroup):
         # closure must never mix representations of the same value.
         conductor = math.lcm(*(g.conductor() for g in gens))
         gens = [g.lift(conductor) for g in gens]
-        one = qt.quat_one().lift(conductor)
-        lq = FiniteGroup.generate(one, [g.left for g in gens], cap)
-        rq = FiniteGroup.generate(one, [g.right for g in gens], cap)
-        lcols, rcols = lq.right, rq.right
+        one = qt.one_at(conductor)
+        lq, lcols = _factor_closure(one, [g.left for g in gens], cap)
+        rq, rcols = _factor_closure(one, [g.right for g in gens], cap)
         pairs = FiniteGroup.closure(
             (0, 0), len(gens), lambda p, s: (lcols[s][p[0]], rcols[s][p[1]]), cap
         )
@@ -413,7 +430,7 @@ class FiniteRotationGroup(FiniteGroup):
         """Orders of the intersections with S^3 x {1} and {1} x S^1, plus gcd."""
         if self.ambient != "spin4":
             raise WrongAmbient("intersection counts expect a Spin(4) group")
-        one = qt.quat_one()
+        one = qt.one_at(self.elements[self.identity_idx].conductor())
         left_count = 0
         right_count = 0
         for e in self.elements:
@@ -424,6 +441,23 @@ class FiniteRotationGroup(FiniteGroup):
             if e.left == one:
                 right_count += 1
         return left_count, right_count, math.gcd(left_count, right_count)
+
+
+def _factor_closure(one, quats, cap):
+    """One exact closure of a factor's distinct non-identity quaternions.
+
+    Returns the group and one right column per quaternion: the identity
+    column for ``one``, and a shared column for a repeated quaternion.
+    """
+    slot = {one: None}
+    distinct = []
+    for q in quats:
+        if q not in slot:
+            slot[q] = len(distinct)
+            distinct.append(q)
+    group = FiniteGroup.generate(one, distinct, cap)
+    identity = range(len(group))
+    return group, [identity if slot[q] is None else group.right[slot[q]] for q in quats]
 
 
 def generate_group(gens, cap=DEFAULT_GROUP_CAP):

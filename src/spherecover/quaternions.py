@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cyclotomic as cy
 from . import linalg
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, InvalidArgument
 
 
 def _unify4(coords):
@@ -36,7 +37,7 @@ class UnitQuaternion:
         self.coords = _unify4((a, b, c, d))
         self._hash = None
         if check and not self.norm_squared().__eq__(1):
-            raise ValueError(f"quaternion is not a unit: {self.coords}")
+            raise InvalidArgument(f"quaternion is not a unit: {self.coords}")
 
     @classmethod
     def _raw(cls, coords):
@@ -61,12 +62,13 @@ class UnitQuaternion:
             return NotImplemented
         a1, b1, c1, d1 = self.coords
         a2, b2, c2, d2 = other.coords
+        fused = cy.product_sum
         return UnitQuaternion._raw(
             (
-                a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+                fused(((1, a1, a2), (-1, b1, b2), (-1, c1, c2), (-1, d1, d2))),
+                fused(((1, a1, b2), (1, b1, a2), (1, c1, d2), (-1, d1, c2))),
+                fused(((1, a1, c2), (-1, b1, d2), (1, c1, a2), (1, d1, b2))),
+                fused(((1, a1, d2), (1, b1, c2), (-1, c1, b2), (1, d1, a2))),
             )
         )
 
@@ -106,6 +108,16 @@ def quat(a=0, b=0, c=0, d=0, check=True):
 
 def quat_one():
     return quat(1, 0, 0, 0, check=False)
+
+
+@lru_cache(maxsize=None)
+def one_at(conductor):
+    """The identity quaternion at a given conductor, made once.
+
+    Comparing against it at an element's own conductor skips the lift and
+    the canonical keys that a mixed-conductor ``==`` recomputes.
+    """
+    return quat_one().lift(conductor)
 
 
 def quat_i():
@@ -161,8 +173,8 @@ class Spin4Element:
         )
 
     def is_identity(self):
-        one = quat_one()
-        return self.left == one and self.right == one
+        left, right = self.left, self.right
+        return left == one_at(left.conductor) and right == one_at(right.conductor)
 
     def __eq__(self, other):
         if not isinstance(other, Spin4Element):

@@ -175,17 +175,20 @@ def build(spec, cap=DEFAULT_GROUP_CAP, allow_invalid=False):
     conductor = math.lcm(iota_hat.conductor(), *(g.conductor() for g in gens))
     gens = [g.lift(conductor) for g in gens]
     iota_hat = iota_hat.lift(conductor)
-    pi_hat = generate_group(gens, cap=cap)
+    # Pi^ and Pi are closed on the tables of Gamma^ and Gamma, which list
+    # the generators of Pi^ first; a group too large for the cap is caught
+    # by the closure of its extension
     gamma_hat = generate_group(gens + [iota_hat], cap=cap)
+    gamma = gamma_hat.to_so4()
     return SpaceFormCertificate(
         spec=spec,
         conductor=conductor,
-        pi_hat=pi_hat,
-        pi=pi_hat.to_so4(),
+        pi_hat=gamma_hat.column_subgroup(len(gens)),
+        pi=gamma.column_subgroup(len(gens)),
         iota_hat=iota_hat,
         iota_tilde=qt.RotationClass(iota_hat),
         gamma_hat=gamma_hat,
-        gamma=gamma_hat.to_so4(),
+        gamma=gamma,
     )
 
 

@@ -218,6 +218,30 @@ def test_corpus_cache_keys_rows_by_payload_not_name(tmp_path):
     assert dets(both, "--cache", cache_dir) == [5, 7]
 
 
+def test_corpus_missing_file_is_an_input_error(tmp_path):
+    code, _, err = run_cli(["corpus", "run", "--corpus", str(tmp_path / "missing.tsv")])
+    assert code == 1
+    assert err.startswith("input error: ") and "missing.tsv" in err
+
+
+def test_corpus_cache_path_naming_a_file_is_an_input_error(tmp_path):
+    corpus = tmp_path / "mini.tsv"
+    corpus.write_text("b75\ttwobridge\t7 5\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run_cli(["corpus", "run", "--corpus", str(corpus), "--cache", str(taken)])
+    assert code == 1
+    assert err.startswith("input error: ") and "taken" in err
+
+
+def test_corpus_that_is_not_utf8_is_an_input_error(tmp_path):
+    corpus = tmp_path / "latin1.tsv"
+    corpus.write_bytes("b75\ttwobridge\t7 5 \u00e9\n".encode("latin-1"))
+    code, _, err = run_cli(["corpus", "run", "--corpus", str(corpus)])
+    assert code == 1
+    assert err.startswith("input error: ") and "UTF-8" in err
+
+
 def test_corpus_determinism_without_cache(tmp_path):
     corpus = tmp_path / "mini.tsv"
     corpus.write_text("trefoil\tpd\t" + TREFOIL_PD + "\n")

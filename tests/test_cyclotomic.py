@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from spherecover import cyclotomic as cy
-from spherecover.errors import DivisionByZero, NotReal
+from spherecover.errors import DivisionByZero, InvalidArgument, NotReal, SphereCoverError
 
 
 def test_make_sqrt2_squares_to_two():
@@ -140,3 +140,30 @@ def test_sin_tau():
     assert cy.sin_tau(1, 4) == 1
     assert cy.sin_tau(0, 7).is_zero()
     assert abs(cy.sin_tau(1, 5).to_float() - math.sin(2 * math.pi / 5)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cy.zero(0),  # conductor below 1
+        lambda: cy.sqrt2().lift(12),  # 12 is not a multiple of 8
+        lambda: cy.sqrt2().as_rational(),
+        lambda: cy.cos_tau(1, 0),
+    ],
+    ids=["conductor", "lift", "as_rational", "cos_tau"],
+)
+def test_bad_arguments_are_invalid_arguments(call):
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, SphereCoverError) and isinstance(info.value, ValueError)
+
+
+def test_product_sum_is_the_signed_sum_of_products():
+    a, b, c = cy.sqrt2(), cy.cos_tau(1, 5), cy.cos_tau(2, 9)
+    terms = [(1, a, b), (-1, c, c), (1, b, cy.zero()), (-1, a, cy.rational(Fraction(1, 3)))]
+    fused = cy.product_sum(terms)
+    assert fused.conductor == 360
+    assert fused == a * b - c * c - a * Fraction(1, 3)
+    expected = math.sqrt(2) * (math.cos(2 * math.pi / 5) - 1 / 3) - math.cos(4 * math.pi / 9) ** 2
+    assert abs(fused.to_float() - expected) < 1e-13
+    assert cy.product_sum([(1, a, a), (-1, cy.rational(2), cy.one())]).is_zero()

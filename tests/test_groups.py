@@ -1,9 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
 from spherecover import quaternions as qt
 from spherecover import spaceforms as sf
-from spherecover.errors import CapExceeded, NotMember, WrongAmbient
-from spherecover.groups import generate_group, quaternion_group_q8
+from spherecover.errors import (
+    CapExceeded,
+    InvalidArgument,
+    NotMember,
+    SphereCoverError,
+    WrongAmbient,
+)
+from spherecover.groups import FiniteGroup, generate_group, quaternion_group_q8
 from spherecover.spaceforms import (
     binary_icosahedral_generators,
     octahedral_extra_generator,
@@ -203,3 +211,47 @@ def test_lookups_happen_at_the_group_conductor():
     c4_7 = generate_group([i.lift(7)])
     assert i in c4_7 and qt.Spin4Element(qt.quat_one(), qt.quat_i()) not in c4_7
     assert c4_7.conjugacy_class(i) == c4_7.conjugacy_class(i.lift(7))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FiniteGroup([0, 0], [], [-1, 0], [-1, 0]),
+        lambda: FiniteGroup.generate(1, [1], cap=0),
+        lambda: generate_group([]),
+    ],
+    ids=["duplicate_elements", "cap_below_one", "no_generators"],
+)
+def test_bad_arguments_are_invalid_arguments(call):
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, SphereCoverError) and isinstance(info.value, ValueError)
+
+
+def test_factor_closures_skip_identity_and_repeated_factors(monkeypatch):
+    h = Fraction(1, 2)
+    omega = qt.quat(h, h, h, h)
+    one, zeta = qt.quat_one(), qt.circle_quaternion(1, 9)
+    gens = [
+        qt.Spin4Element(omega, one),  # identity right factor
+        qt.Spin4Element(qt.quat_i(), zeta),
+        qt.Spin4Element(omega, zeta),  # both factors repeat earlier ones
+        qt.Spin4Element(one, zeta.inverse()),  # identity left factor
+    ]
+    calls = []
+    generate = FiniteGroup.generate.__func__
+
+    def counting(cls, identity, factor_gens, cap):
+        calls.append(len(factor_gens))
+        return generate(cls, identity, factor_gens, cap)
+
+    monkeypatch.setattr(FiniteGroup, "generate", classmethod(counting))
+    group = generate_group(gens)
+    # L is closed on omega and i only, R on zeta and its inverse only
+    assert calls == [2, 2]
+    # the element-level closure of the same generators is the oracle
+    lifted = [g.lift(36) for g in gens]
+    oracle = generate(FiniteGroup, qt.spin_identity().lift(36), lifted, 10_000)
+    assert len(group) == 216  # the binary tetrahedral group times the 9th roots
+    assert group.elements == oracle.elements
+    assert (group.right, group.parent, group.gen) == (oracle.right, oracle.parent, oracle.gen)

@@ -6,6 +6,8 @@ import pytest
 from spherecover import cyclotomic as cy
 from spherecover import linalg
 from spherecover import quaternions as qt
+from spherecover.errors import InvalidArgument, SphereCoverError
+from spherecover.spaceforms import binary_icosahedral_generators, octahedral_extra_generator
 
 
 def test_hamilton_relations():
@@ -19,6 +21,45 @@ def test_unit_check():
     with pytest.raises(ValueError):
         qt.quat(1, 1, 0, 0)
     qt.quat(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+
+
+def test_non_unit_is_an_invalid_argument():
+    with pytest.raises(InvalidArgument) as info:
+        qt.quat(1, 1, 0, 0)
+    assert isinstance(info.value, SphereCoverError) and isinstance(info.value, ValueError)
+
+
+def _coordinatewise_product(p, q):
+    """Hamilton's formula on any coordinates with +, - and *."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def test_fused_product_matches_coordinatewise_formula():
+    pool = binary_icosahedral_generators()  # conductor 1 and 5
+    pool += [octahedral_extra_generator()]  # conductor 8
+    pool += [qt.circle_quaternion(3, 14), qt.circle_quaternion(2, 9)]  # 28 and 36
+    pool += [pool[4] * pool[3], pool[6] * pool[7]]  # denser supports
+    conductors = set()
+    for p in pool:
+        for q in pool:
+            fused = (p * q).coords
+            expected = _coordinatewise_product(p.coords, q.coords)
+            assert all(f.conductor == e.conductor for f, e in zip(fused, expected))
+            assert [f._canon_key() for f in fused] == [e._canon_key() for e in expected]
+            floats = _coordinatewise_product(
+                [x.to_float() for x in p.coords], [x.to_float() for x in q.coords]
+            )
+            assert all(abs(f.to_float() - x) < 1e-12 for f, x in zip(fused, floats))
+            conductors.add(fused[0].conductor)
+    # same-conductor and mixed-conductor pairs (lifted to the lcm) both occur
+    assert {5, 8, 28, 36, 40, 56, 140, 180, 252} <= conductors
 
 
 def test_quaternion_inverse_is_conjugate():

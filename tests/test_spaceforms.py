@@ -5,6 +5,7 @@ import pytest
 from spherecover import quaternions as qt
 from spherecover import spaceforms as sf
 from spherecover.errors import InternalInconsistency, SpecViolation
+from spherecover.groups import FiniteGroup, FiniteRotationGroup, generate_group
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +202,43 @@ def test_check_three_decides_normalization(monkeypatch):
     escaping = qt.Spin4Element(i, one)
     assert cert.pi_hat.generators() == [escaping]
     assert detail == f"conjugate of {escaping!r} escapes"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        sf.SpaceFormSpec(sf.CYCLIC, m=15, p=2),
+        sf.SpaceFormSpec(sf.CYCLIC, m=9, p=1),  # iota^2 = -1 is not in Pi^
+        sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=0),
+        sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=2),
+        sf.SpaceFormSpec(sf.TETRAHEDRAL, m=7, k=0),
+        sf.SpaceFormSpec(sf.ICOSAHEDRAL, m=1),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_pi_read_off_gamma_equals_its_own_closure(spec):
+    cert = sf.build(spec)
+    gens, _ = sf._build_generators(spec)
+    pi_hat = generate_group([g.lift(cert.conductor) for g in gens])
+    for read, own in ((cert.pi_hat, pi_hat), (cert.pi, pi_hat.to_so4())):
+        assert read.ambient == own.ambient
+        assert read.elements == own.elements
+        assert (read.right, read.parent, read.gen) == (own.right, own.parent, own.gen)
+
+
+def test_build_closes_each_factor_once(monkeypatch):
+    calls = []
+    generate = FiniteGroup.generate.__func__
+    to_so4 = FiniteRotationGroup.to_so4
+
+    def counting_generate(cls, identity, gens, cap):
+        calls.append("generate")
+        return generate(cls, identity, gens, cap)
+
+    monkeypatch.setattr(FiniteGroup, "generate", classmethod(counting_generate))
+    monkeypatch.setattr(
+        FiniteRotationGroup, "to_so4", lambda self: calls.append("to_so4") or to_so4(self)
+    )
+    cert = sf.build(sf.SpaceFormSpec(sf.TETRAHEDRAL, m=7, k=2))
+    assert sorted(calls) == ["generate", "generate", "to_so4"]
+    assert len(cert.gamma_hat) == 2 * len(cert.pi_hat) == 4 * len(cert.pi)
