@@ -23,19 +23,15 @@ import csv
 import json
 import sys
 
-from . import analyzer, knots, orbits, spaceforms
+from . import analyzer, orbits, spaceforms
 from .cache import ResultCache
 from .config import load_config, packaged_corpus_text
 from .errors import (
-    CapExceeded,
     InputFileError,
     InternalInconsistency,
-    NotAKnot,
     OracleMismatch,
-    ParseError,
     SpecViolation,
     SphereCoverError,
-    ValidationError,
 )
 
 EXIT_OK = 0
@@ -86,20 +82,12 @@ def _knot_diagram_from_args(args):
     if len(chosen) != 1:
         raise SpecViolation("choose exactly one input among --pd/--dt/--braid/--torus/--two-bridge/--montesinos")
     kind, value = chosen[0]
-    name = args.name or kind
-    if kind == "pd":
-        return knots.parse_pd(value, name=name)
-    if kind == "dt":
-        return knots.parse_dt(value, name=name)
-    if kind == "braid":
-        return knots.braid_to_diagram(knots.parse_braid(value), name=name)
-    if kind == "torus":
+    name = kind
+    if kind in ("torus", "two_bridge"):
+        kind = kind.replace("_", "")
         p, q = value
-        return knots.braid_to_diagram(knots.torus_knot(p, q), name=args.name or f"torus({p},{q})")
-    if kind == "two_bridge":
-        p, q = value
-        return knots.two_bridge(p, q, name=args.name or f"twobridge({p},{q})")
-    return analyzer.diagram_from_payload("montesinos", value, name=name)
+        name, value = f"{kind}({p},{q})", f"{p} {q}"
+    return analyzer.diagram_from_payload(kind, value, name=args.name or name)
 
 
 def cmd_knot_analyze(args, config, out):
@@ -234,13 +222,22 @@ def _cached_record(cache, key):
     return rec if isinstance(rec, dict) else None
 
 
-def _attach_name(cached_rec, name):
-    """Rebuild a cached (name-free) record with the row name in place."""
+def _attach_name(cached_rec, name, show_timing):
+    """Rebuild a cached (name-free) record with the row name in place.
+
+    A hit carries no timing of its own: a stored ``ms`` is dropped, and
+    with ``--timings`` the hit reads ``"ms": null`` where a fresh record
+    has its time.
+    """
     out = {}
     for k, v in cached_rec.items():
+        if k == "ms":
+            continue
         out[k] = v
         if k == "schema":
             out["name"] = name
+    if show_timing:
+        out["ms"] = None
     return out
 
 
@@ -272,7 +269,7 @@ def cmd_corpus_run(args, config, out):
             key = cache.key_for(row[2], row[1], config.coset_cap)
             hit = _cached_record(cache, key)
             if hit is not None:
-                records.append(_attach_name(hit, row[0]))
+                records.append(_attach_name(hit, row[0], config.show_timing))
             else:
                 fresh_rows.append(row)
     else:
@@ -286,7 +283,7 @@ def cmd_corpus_run(args, config, out):
         records.append(rec)
         if cache and report.error is None:
             key = cache.key_for(payload, fmt, config.coset_cap)
-            nameless = {k: v for k, v in rec.items() if k != "name"}
+            nameless = {k: v for k, v in report.to_record().items() if k != "name"}
             cache.put(key, json.dumps(nameless, sort_keys=False).encode())
     records.sort(key=lambda r: r["name"])
     _emit_records(records, config.output_format, out)
@@ -422,9 +419,6 @@ def main(argv=None, out=None, err=None):
     handler = dispatch[(args.command, args.subcommand)]
     try:
         return handler(args, config, out)
-    except (ParseError, ValidationError, NotAKnot, SpecViolation, CapExceeded) as exc:
-        err.write(f"{type(exc).__name__}: {exc}\n")
-        return EXIT_INPUT
     except InputFileError as exc:
         err.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -27,10 +27,6 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import DivisionByZero, InternalInconsistency, InvalidArgument, NotReal
 
-# Default conductor: covers sqrt(2) (via zeta_8), sqrt(3) (zeta_12),
-# sqrt(5) (zeta_5) and cos(pi/m) for 2m | 120.
-DEFAULT_CONDUCTOR = 120
-
 # Private interval context for the sign fallback, so mpmath.iv is never touched.
 _IV = MPIntervalContext()
 
@@ -105,72 +101,94 @@ def _context(n):
     return _FieldContext(n)
 
 
+def _fold(pairs, k, ctx):
+    """The one exponent map: ``e -> k*e mod N``, folded into ``[0, half)``.
+
+    Takes (exponent, numerator) pairs and returns the exponent -> numerator
+    map, zeros dropped.  Folding uses ``zeta^(N/2) = -1``: an exponent at or
+    above ``half`` moves down by ``half`` and flips its numerator's sign.
+    Distinct exponents may land on the same slot, where they add up.
+    """
+    n, half = ctx.conductor, ctx.half
+    num = {}
+    for e, v in pairs:
+        e = e * k % n
+        if e >= half:
+            e -= half
+            v = -v
+        num[e] = num.get(e, 0) + v
+    return {e: v for e, v in num.items() if v}
+
+
+def _accumulate(num, n, half, scale, anum, bnum):
+    """The one product loop: add ``scale * a * b`` into the map ``num``.
+
+    ``anum`` and ``bnum`` are folded exponent -> numerator maps at conductor
+    ``n``; exponents add mod ``n`` and fold into ``[0, half)``.  An entry of
+    ``num`` that cancels to zero is dropped, so ``num`` never holds zeros.
+    """
+    bitems = bnum.items()
+    for e1, v1 in anum.items():
+        v1 *= scale
+        for e2, v2 in bitems:
+            e = e1 + e2
+            v = v1 * v2
+            if e >= n:
+                e -= n
+            if e >= half:
+                e -= half
+                v = -v
+            w = num.get(e, 0) + v
+            if w:
+                num[e] = w
+            elif e in num:
+                del num[e]
+
+
 class ExactScalar:
     """An element of the real subfield of the conductor-N cyclotomic field."""
 
-    __slots__ = ("conductor", "_num", "_den", "_canon", "_float", "_hash")
+    __slots__ = ("conductor", "_num", "_den", "_canon", "_hash")
 
     def __init__(self, conductor, terms):
         """Build from an exponent -> rational map (exponents arbitrary ints)."""
         ctx = _context(conductor)
-        den = 1
-        items = []
-        for e, c in terms.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if c:
-                items.append((int(e), c))
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        num = {}
-        n, half = ctx.conductor, ctx.half
-        for e, c in items:
-            e %= n
-            v = c.numerator * (den // c.denominator)
-            if e >= half:
-                e -= half
-                v = -v
-            v += num.get(e, 0)
-            if v:
-                num[e] = v
-            elif e in num:
-                del num[e]
-        self.conductor = conductor
-        self._den = den
-        self._num = num
-        self._canon = None
-        self._float = None
-        self._hash = None
-        self._reduce(ctx)
+        coeffs = [(int(e), Fraction(c)) for e, c in terms.items()]
+        den = math.lcm(*(c.denominator for _, c in coeffs))
+        pairs = ((e, c.numerator * (den // c.denominator)) for e, c in coeffs)
+        self._set(conductor, _fold(pairs, 1, ctx), den, ctx)
 
     @classmethod
     def _make(cls, conductor, num, den):
         """Trusted constructor: exponents already folded into [0, half)."""
         s = object.__new__(cls)
-        s.conductor = conductor
-        s._num = num
-        s._den = den
-        s._canon = None
-        s._float = None
-        s._hash = None
-        s._reduce(_context(conductor))
+        s._set(conductor, num, den, _context(conductor))
         return s
 
-    def _reduce(self, ctx):
-        num = self._num
+    def _set(self, conductor, num, den, ctx):
+        """Store a folded map over ``den``.
+
+        Cancels the common content, and rewrites in the canonical basis once
+        the support outgrows the field degree.
+        """
+        self.conductor = conductor
+        self._canon = None
+        self._hash = None
         if not num:
-            self._den = 1
+            self._num, self._den = num, 1
             return
-        g = self._den
+        g = den
         for v in num.values():
             g = math.gcd(g, v)
             if g == 1:
                 break
         if g > 1:
-            self._num = {e: v // g for e, v in num.items()}
-            self._den //= g
-        if len(self._num) > ctx.degree:
+            num = {e: v // g for e, v in num.items()}
+            den //= g
+        self._num, self._den = num, den
+        if len(num) > ctx.degree:
             vec = self._canonical_vector(ctx)
             self._num = {e: v for e, v in enumerate(vec) if v}
-            self._canon = None
 
     # -- canonical form -------------------------------------------------
 
@@ -225,18 +243,12 @@ class ExactScalar:
             return self
         if conductor % self.conductor:
             raise InvalidArgument("conductor lift must go to a multiple")
+        # exponents scaled past the new half fold down with a sign flip;
+        # distinct exponents of [0, half_old) never land on one slot
         k = conductor // self.conductor
-        ctx = _context(conductor)
-        num = {}
-        for e, v in self._num.items():
-            # scaling is injective on [0, half_old) but folding can collide
-            e2 = (e * k) % conductor
-            if e2 >= ctx.half:
-                e2 -= ctx.half
-                v = -v
-            num[e2] = num.get(e2, 0) + v
-        num = {e: v for e, v in num.items() if v}
-        return ExactScalar._make(conductor, num, self._den)
+        return ExactScalar._make(
+            conductor, _fold(self._num.items(), k, _context(conductor)), self._den
+        )
 
     # -- predicates -------------------------------------------------------
 
@@ -259,16 +271,8 @@ class ExactScalar:
         return self._conj_raw()._canon_key() == self._canon_key()
 
     def _conj_raw(self):
-        n = self.conductor
-        ctx = _context(n)
-        num = {}
-        for e, v in self._num.items():
-            e2 = (n - e) % n
-            if e2 >= ctx.half:
-                e2 -= ctx.half
-                v = -v
-            num[e2] = num.get(e2, 0) + v
-        return ExactScalar._make(n, {e: v for e, v in num.items() if v}, self._den)
+        """Complex conjugate (zeta -> zeta^-1) without the reality check."""
+        return self.galois_image(-1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -319,36 +323,8 @@ class ExactScalar:
         if b is NotImplemented:
             return NotImplemented
         n = a.conductor
-        anum, bnum = a._num, b._num
-        if not anum or not bnum:
-            return ExactScalar._make(n, {}, 1)
-        ctx = _context(n)
-        half = ctx.half
-        if len(anum) == 1 and len(bnum) == 1:
-            (e1, v1), = anum.items()
-            (e2, v2), = bnum.items()
-            e = (e1 + e2) % n
-            v = v1 * v2
-            if e >= half:
-                e -= half
-                v = -v
-            return ExactScalar._make(n, {e: v}, a._den * b._den)
         num = {}
-        bitems = list(bnum.items())
-        for e1, v1 in anum.items():
-            for e2, v2 in bitems:
-                e = e1 + e2
-                v = v1 * v2
-                if e >= n:
-                    e -= n
-                if e >= half:
-                    e -= half
-                    v = -v
-                w = num.get(e, 0) + v
-                if w:
-                    num[e] = w
-                elif e in num:
-                    del num[e]
+        _accumulate(num, n, _context(n).half, 1, a._num, b._num)
         return ExactScalar._make(n, num, a._den * b._den)
 
     __rmul__ = __mul__
@@ -356,15 +332,7 @@ class ExactScalar:
     def galois_image(self, k):
         """Apply the automorphism zeta -> zeta^k (k coprime to the conductor)."""
         n = self.conductor
-        ctx = _context(n)
-        num = {}
-        for e, v in self._num.items():
-            e2 = (e * k) % n
-            if e2 >= ctx.half:
-                e2 -= ctx.half
-                v = -v
-            num[e2] = num.get(e2, 0) + v
-        return ExactScalar._make(n, {e: v for e, v in num.items() if v}, self._den)
+        return ExactScalar._make(n, _fold(self._num.items(), k, _context(n)), self._den)
 
     def inv(self):
         """Exact field inverse via the product of Galois conjugates."""
@@ -408,11 +376,9 @@ class ExactScalar:
     # -- comparisons and embedding ------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactScalar.from_rational(other, self.conductor)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
         a, b = self._coerce(other)
+        if b is NotImplemented:
+            return NotImplemented
         return a._canon_key() == b._canon_key()
 
     def __hash__(self):
@@ -468,33 +434,27 @@ class ExactScalar:
         raise InternalInconsistency("could not certify sign at 65536 bits")  # pragma: no cover
 
     def __lt__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        a, b = self._coerce(other)
-        return (a - b).sign() >= 0
+        return (self - other).sign() >= 0
 
     def to_float(self):
         """Float embedding via zeta_N -> exp(2*pi*i/N), good to ~1e-15 relative."""
-        if self._float is None:
-            n = self.conductor
-            with mpmath.workprec(120):
-                tau = 2 * mpmath.pi
-                total = mpmath.mpf(0)
-                den = mpmath.mpf(self._den)
-                for e, v in self._num.items():
-                    total += mpmath.mpf(v) / den * mpmath.cos(tau * e / n)
-                self._float = float(total)
-        return self._float
+        n = self.conductor
+        with mpmath.workprec(120):
+            tau = 2 * mpmath.pi
+            total = mpmath.mpf(0)
+            den = mpmath.mpf(self._den)
+            for e, v in self._num.items():
+                total += mpmath.mpf(v) / den * mpmath.cos(tau * e / n)
+            return float(total)
 
     def __repr__(self):
         canon = self.canonical()
@@ -576,35 +536,9 @@ def product_sum(terms):
     for _, a, b in terms:
         n = math.lcm(n, a.conductor, b.conductor)
     terms = [(sign, a.lift(n), b.lift(n)) for sign, a, b in terms]
-    den = 1
-    for _, a, b in terms:
-        d = a._den * b._den
-        den = den * d // math.gcd(den, d)
+    den = math.lcm(*[a._den * b._den for _, a, b in terms])
     half = _context(n).half
     num = {}
     for sign, a, b in terms:
-        scale = sign * (den // (a._den * b._den))
-        bitems = b._num.items()
-        for e1, v1 in a._num.items():
-            v1 *= scale
-            for e2, v2 in bitems:
-                e = e1 + e2
-                v = v1 * v2
-                if e >= n:
-                    e -= n
-                if e >= half:
-                    e -= half
-                    v = -v
-                num[e] = num.get(e, 0) + v
-    return ExactScalar._make(n, {e: v for e, v in num.items() if v}, den)
-
-
-def unify_conductor(scalars):
-    """Lift a collection of scalars to their common (lcm) conductor."""
-    scalars = list(scalars)
-    if not scalars:
-        return []
-    l = 1
-    for s in scalars:
-        l = math.lcm(l, s.conductor)
-    return [s.lift(l) for s in scalars]
+        _accumulate(num, n, half, sign * (den // (a._den * b._den)), a._num, b._num)
+    return ExactScalar._make(n, num, den)

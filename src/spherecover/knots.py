@@ -67,6 +67,7 @@ def _succ(e, n2):
 
 def diagram_from_pd_tuples(tuples, name=""):
     """Validate raw PD tuples and compute arcs; raises ValidationError."""
+    _check_crossings(len(tuples), "PD diagram")
     tuples = [tuple(int(x) for x in t) for t in tuples]
     n = len(tuples)
     if n == 0:

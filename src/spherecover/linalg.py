@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, InvalidArgument
 
 
 # -- abelian group invariants --------------------------------------------------
@@ -29,12 +29,12 @@ class AbelianGroup:
     def __post_init__(self):
         for d in self.torsion:
             if d < 2:
-                raise ValueError("invariant factors must be >= 2")
+                raise InvalidArgument("invariant factors must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
+                raise InvalidArgument(f"divisibility chain broken: {a} does not divide {b}")
         if self.rank < 0:
-            raise ValueError("free rank must be nonnegative")
+            raise InvalidArgument("free rank must be nonnegative")
 
     @classmethod
     def from_factors(cls, factors, rank=0):

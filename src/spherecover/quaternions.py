@@ -25,7 +25,8 @@ def _unify4(coords):
     coords = [
         c if isinstance(c, cy.ExactScalar) else cy.rational(c) for c in coords
     ]
-    return tuple(cy.unify_conductor(coords))
+    n = math.lcm(*(c.conductor for c in coords))
+    return tuple(c.lift(n) for c in coords)
 
 
 class UnitQuaternion:
@@ -316,10 +317,8 @@ def fixed_set(rotation):
     element = rotation.rep if isinstance(rotation, RotationClass) else rotation
     q1, q2 = element.left, element.right
     l = math.lcm(q1.conductor, q2.conductor)
-    q1 = UnitQuaternion._raw(tuple(x.lift(l) for x in q1.coords))
-    q2 = UnitQuaternion._raw(tuple(x.lift(l) for x in q2.coords))
-    lm = _left_mult_matrix(q1)
-    rm = _right_mult_matrix(q2)
+    lm = _left_mult_matrix(q1.lift(l))
+    rm = _right_mult_matrix(q2.lift(l))
     m = [[lm[i][j] - rm[i][j] for j in range(4)] for i in range(4)]
     basis = linalg.kernel(m, 4)
     dim = len(basis)

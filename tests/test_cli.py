@@ -5,10 +5,10 @@ import time
 
 import pytest
 
-from spherecover import analyzer, cli
+from spherecover import analyzer, cli, knots
 from spherecover.cache import ResultCache
 from spherecover.config import RunConfig, load_config
-from spherecover.errors import ConfigError, InternalInconsistency
+from spherecover.errors import ConfigError, InternalInconsistency, ValidationError
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -180,6 +180,49 @@ def test_crossing_limit_rows_fail_fast(tmp_path):
     assert all("MAX_CROSSINGS = 1000" in err for err in errors.values())
     code, _, err = run_cli(["knot", "analyze", "--torus", "1000", "1001"])
     assert code == 1 and "ValidationError" in err and "MAX_CROSSINGS" in err
+
+
+def test_pd_input_obeys_the_crossing_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(knots, "MAX_CROSSINGS", 2)
+    with pytest.raises(ValidationError, match="MAX_CROSSINGS = 2"):
+        knots.parse_pd(TREFOIL_PD)
+    corpus = tmp_path / "pd.tsv"
+    corpus.write_text("trefoil\tpd\t" + TREFOIL_PD + "\nunknot\ttwobridge\t1 1\n")
+    code, out, _ = run_cli(["corpus", "run", "--corpus", str(corpus), "--format", "json"])
+    assert code == 4 and "row_errors: 1" in out
+    recs = {json.loads(line)["name"]: json.loads(line) for line in out.splitlines() if line.startswith("{")}
+    assert "PD diagram has 3 crossings" in recs["trefoil"]["error"]
+    code, _, err = run_cli(["knot", "analyze", "--pd", TREFOIL_PD])
+    assert code == 1 and "ValidationError" in err and "MAX_CROSSINGS" in err
+
+
+def test_corpus_cache_hit_carries_no_stored_timing(tmp_path):
+    corpus = tmp_path / "one.tsv"
+    corpus.write_text("b75\ttwobridge\t7 5\n")
+    cache = ["--cache", str(tmp_path / "cache")]
+    base = ["corpus", "run", "--corpus", str(corpus), "--format", "json"]
+    code, fresh, _ = run_cli(base + cache + ["--timings"])
+    assert code == 0 and isinstance(json.loads(fresh.splitlines()[0])["ms"], float)
+    code, hit, _ = run_cli(base + cache)
+    assert code == 0 and hit == run_cli(base)[1]
+    assert "ms" not in json.loads(hit.splitlines()[0])
+    code, timed_hit, _ = run_cli(base + cache + ["--timings"])
+    rec = json.loads(timed_hit.splitlines()[0])
+    assert code == 0 and "ms" in rec and rec["ms"] is None
+    assert list(rec) == list(json.loads(fresh.splitlines()[0]))
+
+
+def test_corpus_csv_mixes_cache_hits_and_fresh_rows(tmp_path):
+    one = tmp_path / "one.tsv"
+    one.write_text("b\ttwobridge\t7 5\n")
+    two = tmp_path / "two.tsv"
+    two.write_text("a\ttwobridge\t5 2\nb\ttwobridge\t7 5\n")
+    cache = ["--cache", str(tmp_path / "cache")]
+    assert run_cli(["corpus", "run", "--corpus", str(one), "--timings"] + cache)[0] == 0
+    argv = ["corpus", "run", "--corpus", str(two), "--format", "csv"]
+    code, out, err = run_cli(argv + cache)  # fresh row "a" sorts before the hit "b"
+    assert code == 0, err
+    assert out == run_cli(argv)[1]
 
 
 def test_corpus_recomputes_corrupt_cache_entry(tmp_path):

@@ -167,3 +167,60 @@ def test_product_sum_is_the_signed_sum_of_products():
     expected = math.sqrt(2) * (math.cos(2 * math.pi / 5) - 1 / 3) - math.cos(4 * math.pi / 9) ** 2
     assert abs(fused.to_float() - expected) < 1e-13
     assert cy.product_sum([(1, a, a), (-1, cy.rational(2), cy.one())]).is_zero()
+
+
+def _embedding(conductor, terms, k=1):
+    """Float value of sum c_e * cos(2*pi*k*e/N), straight from the terms."""
+    return sum(float(c) * math.cos(2 * math.pi * k * e / conductor) for e, c in terms.items())
+
+
+@pytest.mark.parametrize("conductor", [5, 7, 8, 12, 15, 24])
+def test_galois_image_matches_float_embedding(conductor):
+    rng = random.Random(conductor)
+    for _ in range(4):
+        terms = {}
+        for e in rng.sample(range(conductor), min(conductor, 4)):
+            terms[e] = terms[-e % conductor] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        x = cy.scalar_make(conductor, terms)
+        for k in range(1, conductor):
+            if math.gcd(k, conductor) != 1:
+                continue
+            image = x.galois_image(k)
+            assert image.conductor == conductor
+            assert abs(image.to_float() - _embedding(conductor, terms, k)) < 1e-12
+        assert x.galois_image(-1) == x._conj_raw() == x
+
+
+@pytest.mark.parametrize("old, new", [(3, 12), (5, 20), (8, 24), (15, 60)])
+def test_lift_folds_scaled_exponents_and_keeps_the_value(old, new):
+    # exponents scaled past new/2 fold down with a sign flip
+    rng = random.Random(old * new)
+    for _ in range(6):
+        terms = {e: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for e in range(old)}
+        x = cy.ExactScalar(old, terms)
+        y = x.lift(new)
+        assert y.conductor == new
+        assert abs(y.to_float() - _embedding(old, terms)) < 1e-12
+        assert abs(y.to_float() - x.to_float()) < 1e-12
+        assert y == x and hash(y) == hash(x.lift(new))
+
+
+@pytest.mark.parametrize(
+    "conductor, terms, expected",
+    [
+        (12, {-1: 1, 1: 1}, lambda: 2 * cy.cos_tau(1, 12)),
+        (12, {-5: Fraction(3, 4), 5: Fraction(3, 4), 3: 0}, lambda: Fraction(3, 2) * cy.cos_tau(5, 12)),
+        (12, {0: Fraction(1, 2), -12: 2, 24: Fraction(-1, 3)}, lambda: cy.rational(Fraction(13, 6), 12)),
+        (8, {7: 1, -7: 1, 9: Fraction(1, 2), -9: Fraction(1, 2), 4: 0, -4: 1}, lambda: 3 * cy.cos_tau(1, 8) - 1),
+        (5, {-1: 2, 1: 2, 0: 1}, lambda: cy.sqrt5()),
+        (6, {1: 1, 5: 1, 2: 0, -2: Fraction(0, 7)}, lambda: cy.one(6)),
+        (7, {3: 0}, lambda: cy.zero(7)),
+    ],
+    ids=["negative", "fraction", "multiple-of-n", "fold", "sqrt5", "zeros", "all-zero"],
+)
+def test_constructor_matches_rational_and_cos_tau_arithmetic(conductor, terms, expected):
+    x = cy.ExactScalar(conductor, terms)
+    want = expected()
+    assert x == want and hash(x) == hash(want.lift(conductor))
+    assert x._canon_key() == want.lift(conductor)._canon_key()
+    assert abs(x.to_float() - _embedding(conductor, terms)) < 1e-12

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from spherecover import linalg as la
+from spherecover.errors import InvalidArgument, SphereCoverError
 
 
 def test_kernel_identity_empty():
@@ -94,3 +95,14 @@ def test_integer_determinant():
         g, h, i = m[2]
         rule = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         assert la.integer_determinant(m) == rule
+
+
+@pytest.mark.parametrize(
+    "torsion, rank",
+    [((1, 2), 0), ((2, 3), 0), ((2,), -1)],
+    ids=["factor-below-2", "divisibility", "negative-rank"],
+)
+def test_abelian_group_bad_invariants_are_invalid_arguments(torsion, rank):
+    with pytest.raises(InvalidArgument) as info:
+        la.AbelianGroup(torsion, rank)
+    assert isinstance(info.value, SphereCoverError) and isinstance(info.value, ValueError)
