@@ -47,8 +47,10 @@ def _emit_records(records, fmt, out):
         for rec in records:
             out.write(json.dumps(rec, sort_keys=False) + "\n")
         return
+    # a row error adds a key the first record may lack: take every key, in
+    # first-seen order
+    keys = list(dict.fromkeys(k for rec in records for k in rec))
     if fmt == "csv":
-        keys = list(records[0].keys()) if records else []
         writer = csv.DictWriter(out, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
         for rec in records:
@@ -57,7 +59,6 @@ def _emit_records(records, fmt, out):
     if not records:
         out.write("(no rows)\n")
         return
-    keys = list(records[0].keys())
     widths = {
         k: max(len(k), *(len(str(r.get(k, ""))) for r in records)) for k in keys
     }

@@ -413,9 +413,9 @@ class FiniteRotationGroup(FiniteGroup):
     def acts_freely(self):
         """(True, None) iff no non-identity rotation fixes a point of S^3.
 
-        Uses the exact real-part criterion; the kernel-dimension route in
-        :func:`spherecover.quaternions.fixed_set` is the independent
-        cross-check exercised by the test suite.
+        Uses the exact real-part criterion, the same test that decides
+        :func:`spherecover.quaternions.fixed_set`'s kind; the test suite
+        cross-checks both against a generic kernel of ``x -> l*x - x*r``.
         """
         if self.ambient != "so4":
             raise WrongAmbient("free-action test expects an SO(4) group")

@@ -542,6 +542,9 @@ def parse_dt(text, name=""):
         except ValueError:
             raise ParseError(f"invalid DT entry {tok!r}", idx) from None
     n = len(code)
+    # checked here once, so the realization loop below cannot mistake a
+    # limit refusal for an unrealizable code
+    _check_crossings(n, "DT code")
     if n > DT_REALIZATION_CAP:
         raise ValidationError(
             f"DT realization supports at most {DT_REALIZATION_CAP} crossings"

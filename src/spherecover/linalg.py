@@ -1,17 +1,13 @@
-"""Exact linear algebra over the rationals, the integers, and scalar fields.
+"""Exact integer linear algebra: abelian invariants, determinants, Smith form.
 
-Kernels are computed by fraction-free (division-avoiding) elimination:
-rows are combined by cross-multiplication only, and kernel vectors are
-recovered with Cramer determinants, so the routines work verbatim over
-``Fraction`` entries and over :class:`~spherecover.cyclotomic.ExactScalar`
-entries.  Smith normal form uses naive gcd pivoting on big integers.
+Determinants use Bareiss fraction-free elimination; Smith normal form uses
+naive gcd pivoting on big integers, so there is no overflow to guard.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalInconsistency, InvalidArgument
 
@@ -59,122 +55,6 @@ class AbelianGroup:
         elif self.rank > 1:
             parts.append(f"Z^{self.rank}")
         return " x ".join(parts) if parts else "0"
-
-
-# -- generic fraction-free kernel ----------------------------------------------
-
-
-def _is_zero(x):
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()
-
-
-def _ring_det(rows):
-    """Determinant by Laplace expansion; intended for small matrices."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        a = rows[0][j]
-        if _is_zero(a):
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = a * _ring_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return rows[0][0] - rows[0][0]  # a zero of the right type
-    return total
-
-
-def kernel(rows, ncols=None):
-    """Exact kernel basis of a matrix over a field.
-
-    Entries may be ``Fraction``/``int`` or any field elements supporting
-    ``+ - *`` and ``is_zero``.  No entry is ever divided: elimination uses
-    cross-multiplied row combinations and the back-substitution is done with
-    Cramer determinants, so the vectors are exact but not normalized.
-    Returns a list of ``ncols``-tuples with ``M @ v == 0``, one per free
-    column (``ncols - rank`` of them).
-    """
-    work = [list(r) for r in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
-    pivot_cols = []
-    echelon = []
-    for col in range(ncols):
-        pivot_idx = None
-        for i, row in enumerate(work):
-            if not _is_zero(row[col]):
-                pivot_idx = i
-                break
-        if pivot_idx is None:
-            continue
-        prow = work.pop(pivot_idx)
-        p = prow[col]
-        work = [
-            [p * row[j] - row[col] * prow[j] for j in range(ncols)]
-            if not _is_zero(row[col])
-            else row
-            for row in work
-        ]
-        echelon.append(prow)
-        pivot_cols.append(col)
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    pivot_sub = [[echelon[i][c] for c in pivot_cols] for i in range(rank)]
-    det_p = _ring_det(pivot_sub)
-    for f in free_cols:
-        rhs = [-echelon[i][f] for i in range(rank)]
-        vec = [None] * ncols
-        vec[f] = det_p
-        for idx_i, c in enumerate(pivot_cols):
-            replaced = [
-                [rhs[i] if j == idx_i else pivot_sub[i][j] for j in range(rank)]
-                for i in range(rank)
-            ]
-            vec[c] = _ring_det(replaced)
-        zero = det_p - det_p
-        for c in range(ncols):
-            if vec[c] is None:
-                vec[c] = zero
-        basis.append(tuple(vec))
-    return basis
-
-
-def rational_kernel(rows):
-    """Kernel basis over Q with content-normalized integer-primitive vectors."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    basis = kernel(rows)
-    out = []
-    for vec in basis:
-        nums = [f.numerator for f in vec if f]
-        dens = [f.denominator for f in vec if f]
-        if nums:
-            g = Fraction(math.gcd(*nums), math.lcm(*dens))
-            vec = tuple(f / g for f in vec)
-            lead = next(f for f in vec if f)
-            if lead < 0:
-                vec = tuple(-f for f in vec)
-        out.append(vec)
-    return out
-
-
-def matrix_vector(rows, vec):
-    out = []
-    for row in rows:
-        acc = None
-        for a, b in zip(row, vec):
-            term = a * b
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
 
 
 # -- integer matrices ----------------------------------------------------------

@@ -4,20 +4,19 @@ A rotation of R^4 is carried as a pair of unit quaternions ``(l, r)``
 acting by ``x -> l * x * r^-1``; the pair and its negation give the same
 rotation, and :class:`RotationClass` picks a sign-normalized
 representative so rotation equality is plain representative equality.
-Fixed sets are computed as the exact kernel of the 4x4 linear map
-``x -> l*x - x*r``, independently of the cheap real-part test used by the
-free-action criterion, so the two can cross-check each other.
+Fixed sets have a closed form: ``l`` and ``r`` are conjugate exactly when
+their real parts agree, and the fixed plane is written down from their
+imaginary parts, with every spanning vector checked exactly against
+``l*x == x*r``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import cyclotomic as cy
-from . import linalg
 from .errors import InternalInconsistency, InvalidArgument
 
 
@@ -263,7 +262,7 @@ class FixedSet:
 
     For a circle, ``basis`` holds two exact pairwise-orthogonal vectors in
     R^4 spanning the fixed 2-plane, each exactly fixed by the rotation.
-    They are content-reduced rather than unit length: exact normalization
+    They are neither content-reduced nor unit length: exact normalization
     can require square roots that leave every cyclotomic field.
     """
 
@@ -274,68 +273,47 @@ class FixedSet:
         return {"empty": 0, "circle": 2, "all": 4}[self.kind]
 
 
-def _left_mult_matrix(q):
-    a, b, c, d = q.coords
-    return [
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ]
+def _is_null(q):
+    return all(x.is_zero() for x in q.coords)
 
 
-def _right_mult_matrix(q):
-    a, b, c, d = q.coords
-    return [
-        [a, -b, -c, -d],
-        [b, a, d, -c],
-        [c, -d, a, b],
-        [d, c, -b, a],
-    ]
-
-
-def _content_reduce(vec):
-    nums = []
-    dens = []
-    for scalar in vec:
-        for _, coeff in scalar.canonical():
-            nums.append(coeff.numerator)
-            dens.append(coeff.denominator)
-    if not nums:
-        return vec
-    content = Fraction(math.gcd(*nums), math.lcm(*dens))
-    vec = tuple(s * (1 / content) for s in vec)
-    for scalar in vec:
-        s = scalar.sign()
-        if s:
-            return vec if s > 0 else tuple(-x for x in vec)
-    return vec
+def _imag(q):
+    return UnitQuaternion._raw((cy.zero(q.conductor),) + q.coords[1:])
 
 
 def fixed_set(rotation):
-    """Exact fixed set via the kernel of x -> q1*x - x*q2 on R^4."""
+    """Exact fixed set of x -> l*x*r^-1, in closed form from a = Im l, b = Im r.
+
+    Unit quaternions are conjugate exactly when their real parts agree, and
+    then l*x == x*r reduces to a*x == x*b.  For a != 0 the fixed plane is
+    spanned by x1 = a + b and x2 = a*x1: a*(a + b) = a*b - |a|^2 equals
+    (a + b)*b = a*b - |b|^2 because |a| == |b|.  x1 vanishes only when
+    b == -a, and then x1 = Im(a*e), orthogonal to a, for the first e of
+    i, j, k that makes it nonzero.  Each vector is checked exactly against
+    l*x == x*r, so a pair that is not unit can only raise, never pass.
+    """
     element = rotation.rep if isinstance(rotation, RotationClass) else rotation
-    q1, q2 = element.left, element.right
-    l = math.lcm(q1.conductor, q2.conductor)
-    lm = _left_mult_matrix(q1.lift(l))
-    rm = _right_mult_matrix(q2.lift(l))
-    m = [[lm[i][j] - rm[i][j] for j in range(4)] for i in range(4)]
-    basis = linalg.kernel(m, 4)
-    dim = len(basis)
-    if dim == 0:
+    n = math.lcm(element.left.conductor, element.right.conductor)
+    l, r = element.left.lift(n), element.right.lift(n)
+    if l.real_part() != r.real_part():
         return FixedSet("empty")
-    if dim == 4:
+    a, b = _imag(l), _imag(r)
+    if _is_null(a):
+        if not _is_null(b):
+            raise InternalInconsistency(f"{element!r} has Im l = 0 but Im r != 0")
         return FixedSet("all")
-    if dim != 2:
-        raise InternalInconsistency(f"fixed-set dimension {dim} is impossible")
-    v1, v2 = basis
-    dot11 = sum((a * a for a in v1), cy.zero(l))
-    dot12 = sum((a * b for a, b in zip(v1, v2)), cy.zero(l))
-    w2 = tuple(dot11 * b - dot12 * a for a, b in zip(v1, v2))
-    return FixedSet("circle", (_content_reduce(v1), _content_reduce(w2)))
+    x1 = UnitQuaternion._raw(tuple(x + y for x, y in zip(a.coords, b.coords)))
+    if _is_null(x1):
+        products = (_imag(a * e) for e in (quat_i(), quat_j(), quat_k()))
+        x1 = next(x for x in products if not _is_null(x))
+    x2 = a * x1
+    for x in (x1, x2):
+        if _is_null(x) or l * x != x * r:
+            raise InternalInconsistency(f"{x!r} is not a fixed vector of {element!r}")
+    return FixedSet("circle", (x1.coords, x2.coords))
 
 
 def has_fixed_points(rotation):
-    """Cheap independent criterion: fixed vectors exist iff Re(q1) == Re(q2)."""
+    """Fixed vectors exist iff Re(q1) == Re(q2); ``fixed_set`` starts from the same test."""
     element = rotation.rep if isinstance(rotation, RotationClass) else rotation
     return element.left.real_part() == element.right.real_part()

@@ -23,6 +23,7 @@ from spherecover import spaceforms as sf
 from spherecover.config import packaged_corpus_text
 from spherecover.groups import generate_group
 
+from kernel_oracle import fixed_dimension, fixed_matrix, matrix_vector
 from test_linalg import _determinantal_divisor_oracle
 from test_presentations import NAIVE_CASES, naive_group_order
 
@@ -138,6 +139,16 @@ def test_acceptance_6_spaceform_sweep():
             assert cert.abelianization.order() == 3 ** max(spec.k, 1) * spec.m
         else:
             assert cert.abelianization == la.AbelianGroup.from_factors([spec.m])
+        # closed-form fixed sets against the oracle kernel, on the involution
+        # and on one representative of every class of Gamma
+        gamma = cert.gamma
+        reps = [cert.iota_tilde] + [gamma.elements[c[0]] for c in gamma.conjugacy_classes()]
+        for rotation in reps:
+            fs = qt.fixed_set(rotation)
+            assert fs.dimension() == fixed_dimension(rotation)
+            m = fixed_matrix(rotation)
+            for v in fs.basis:
+                assert all(x.is_zero() for x in matrix_vector(m, v))
     # negative control: an even-order cyclic group has 2-torsion and the
     # certificate must say so with a witness, not pass silently
     bad = sf.build(sf.SpaceFormSpec(sf.CYCLIC, m=4, p=1), allow_invalid=True)
@@ -205,7 +216,7 @@ def test_acceptance_8_oracle_suites():
     for _ in range(100):
         m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         assert la.smith_normal_form(m) == _determinantal_divisor_oracle(m)
-    # fixed-set kernel dimension vs real-part criterion on random classes
+    # oracle kernel dimension vs closed-form fixed set and real-part criterion
     pool = []
     for spec in (
         sf.SpaceFormSpec(sf.CYCLIC, m=5, p=2),
@@ -222,7 +233,8 @@ def test_acceptance_8_oracle_suites():
         if g.conductor() != h.conductor():
             continue
         cls = g * h
-        dim = qt.fixed_set(cls).dimension()
+        dim = fixed_dimension(cls)
         assert dim in (0, 2, 4)
+        assert dim == qt.fixed_set(cls).dimension()
         assert (dim > 0) == qt.has_fixed_points(cls)
     _report(8, "oracle suites: TC/words, SNF/minors, kernel/real-part", t0, 300)

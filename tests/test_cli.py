@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -194,6 +195,24 @@ def test_pd_input_obeys_the_crossing_limit(tmp_path, monkeypatch):
     assert "PD diagram has 3 crossings" in recs["trefoil"]["error"]
     code, _, err = run_cli(["knot", "analyze", "--pd", TREFOIL_PD])
     assert code == 1 and "ValidationError" in err and "MAX_CROSSINGS" in err
+
+
+def test_corpus_row_error_keeps_its_column_in_csv_and_table(tmp_path):
+    corpus = tmp_path / "mixed.tsv"
+    corpus.write_text("a\ttwobridge\t5 2\nb\ttorus\t3\n")
+    base = ["corpus", "run", "--corpus", str(corpus), "--format"]
+    code, out, err = run_cli(base + ["csv"])
+    assert code == 4, err
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[:3]))))
+    assert [(r["name"], r["error"]) for r in rows] == [
+        ("a", ""),
+        ("b", "ParseError: expected 2 integers, got '3' (at position 0)"),
+    ]
+    code, out, err = run_cli(base + ["table"])
+    assert code == 4, err
+    header, row_a, row_b = out.splitlines()[:3]
+    assert header.split()[-1] == "error" and "ParseError" in row_b
+    assert "ParseError" not in row_a and "row_errors: 1" in out
 
 
 def test_corpus_cache_hit_carries_no_stored_timing(tmp_path):

@@ -309,3 +309,10 @@ def test_crossing_limit_is_checked_before_assembly():
         kn.montesinos(10**9, [])
     with pytest.raises(ValidationError, match=limit):
         kn.montesinos(1, [(1, 3), (999, 1)])  # 1 + 3 + 999 twists
+
+
+def test_dt_code_reports_the_crossing_limit(monkeypatch):
+    assert kn.parse_dt("4 6 2").crossing_count == 3
+    monkeypatch.setattr(kn, "MAX_CROSSINGS", 2)
+    with pytest.raises(ValidationError, match="DT code has 3 crossings, above the limit MAX_CROSSINGS = 2"):
+        kn.parse_dt("4 6 2")

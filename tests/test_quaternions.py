@@ -1,13 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from spherecover import cyclotomic as cy
-from spherecover import linalg
 from spherecover import quaternions as qt
-from spherecover.errors import InvalidArgument, SphereCoverError
+from spherecover import spaceforms as sf
+from spherecover.errors import InternalInconsistency, InvalidArgument, SphereCoverError
 from spherecover.spaceforms import binary_icosahedral_generators, octahedral_extra_generator
+
+from kernel_oracle import (
+    fixed_dimension,
+    fixed_matrix,
+    left_mult_matrix,
+    matrix_vector,
+    right_mult_matrix,
+)
 
 
 def test_hamilton_relations():
@@ -102,9 +111,15 @@ def test_fixed_set_identity_all():
 def test_fixed_set_conjugation_circle():
     fs = qt.fixed_set(qt.RotationClass(qt.Spin4Element(qt.quat_j(), qt.quat_j())))
     assert fs.kind == "circle"
-    basis_floats = [tuple(x.to_float() for x in v) for v in fs.basis]
-    assert (1.0, 0.0, 0.0, 0.0) in basis_floats
-    assert (0.0, 0.0, 1.0, 0.0) in basis_floats
+    unit = []
+    for v in fs.basis:
+        floats = [x.to_float() for x in v]
+        norm = math.sqrt(sum(x * x for x in floats))
+        unit.append([x / norm for x in floats])
+    assert abs(sum(x * y for x, y in zip(*unit))) < 1e-12
+    # an orthonormal basis spans a plane containing e iff e projects to length 1
+    for e in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)):
+        assert abs(sum(sum(x * y for x, y in zip(u, e)) ** 2 for u in unit) - 1) < 1e-12
 
 
 def test_fixed_set_free_rotation_empty():
@@ -122,17 +137,18 @@ def test_fixed_circle_basis_exactness():
     v1, v2 = fs.basis
     # each basis vector is exactly fixed and the two are exactly orthogonal
     elem = g.rep
-    lm = qt._left_mult_matrix(elem.left)
-    rm = qt._right_mult_matrix(elem.right)
+    lm = left_mult_matrix(elem.left)
+    rm = right_mult_matrix(elem.right)
     m = [[lm[i][j] - rm[i][j] for j in range(4)] for i in range(4)]
     for v in (v1, v2):
-        assert all(x.is_zero() for x in linalg.matrix_vector(m, v))
+        assert all(x.is_zero() for x in matrix_vector(m, v))
     dot = sum((a * b for a, b in zip(v1, v2)), cy.zero(v1[0].conductor))
     assert dot.is_zero()
 
 
 def test_fixed_set_dimensions_cross_check_small_pool():
-    # real-part criterion agrees with kernel dimension on a mixed pool
+    # the oracle kernel's dimension agrees with the closed form and with the
+    # real-part criterion on a mixed pool
     pool = [
         qt.Spin4Element(qt.quat_i(), qt.quat_one()),
         qt.Spin4Element(qt.quat_j(), qt.quat_j()),
@@ -143,6 +159,41 @@ def test_fixed_set_dimensions_cross_check_small_pool():
     for _ in range(200):
         a, b = rng.choice(pool), rng.choice(pool)
         cls = qt.RotationClass(a * b)
-        dim = qt.fixed_set(cls).dimension()
+        dim = fixed_dimension(cls)
         assert dim in (0, 2, 4)
+        assert dim == qt.fixed_set(cls).dimension()
         assert (dim > 0) == qt.has_fixed_points(cls)
+
+
+def test_fixed_set_closed_form_branches():
+    # b = -a: the plane comes from Im(a*e), a branch the default sweep never takes
+    c = qt.circle_quaternion(1, 8)
+    for pair in (qt.Spin4Element(qt.quat_i(), -qt.quat_i()), qt.Spin4Element(c, c.conjugate())):
+        fs = qt.fixed_set(pair)
+        assert fs.kind == "circle" and fixed_dimension(pair) == 2
+        v1, v2 = fs.basis
+        m = fixed_matrix(pair)
+        for v in (v1, v2):
+            assert not all(x.is_zero() for x in v)
+            assert all(x.is_zero() for x in matrix_vector(m, v))
+        assert sum((a * b for a, b in zip(v1, v2)), cy.zero(v1[0].conductor)).is_zero()
+    # an unnormalized pair fixing everything
+    one = qt.quat_one()
+    assert qt.fixed_set(qt.Spin4Element(-one, -one)).kind == "all"
+    # equal real parts but |Im l| != |Im r|: no exact fixed vector, so it raises
+    i, two_i, one_plus_i = (
+        qt.UnitQuaternion._raw(tuple(cy.rational(x) for x in v))
+        for v in ((0, 1, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0))
+    )
+    for left, right in ((i, two_i), (one, one_plus_i)):
+        with pytest.raises(InternalInconsistency):
+            qt.fixed_set(qt.Spin4Element(left, right))
+    # negative control: an even cyclic order puts a second fixed-point class in Gamma
+    cert = sf.build(sf.SpaceFormSpec(sf.CYCLIC, m=6, p=2), allow_invalid=True)
+    ok, detail = sf.verify(cert)["6_fixed_points_conjugate"]
+    assert not ok
+    assert detail == (
+        "witness RotationClass(Spin4(Quat(ExactScalar(0), ExactScalar(0), ExactScalar(0), "
+        "ExactScalar(1)), Quat(ExactScalar(0), ExactScalar(0), "
+        "ExactScalar(1*z12^1 + -1/2*z12^3), ExactScalar(1/2))))"
+    )

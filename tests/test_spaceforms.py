@@ -169,7 +169,7 @@ def test_verify_computes_one_fixed_set_per_class(monkeypatch):
     sf.verify(cert)
     assert cert.all_checks_pass()
     assert len(cert.gamma) == 144
-    # one kernel per non-identity class of Gamma, plus one for check 4
+    # one fixed set per non-identity class of Gamma, plus one for check 4
     assert len(calls) == len(cert.gamma.conjugacy_classes()) == 15
 
 
