@@ -3,11 +3,15 @@
 The enumerator is the relator-based (HLT) strategy in one pass: every live
 coset is scanned against every relator, gaps are filled by defining new
 cosets, and coincidences are merged through a union-find with table
-migration.  A completed table is compacted once and certified post hoc --
-all relators trace to the identity from every coset and the action is
-transitive -- before an order is reported.  The first definition that would
-exceed the coset cap (counted in live cosets) ends the run at once, with a
-table without an order, never a guess.
+migration.  A generator whose square is a relator (every meridian of an
+orbifold quotient) is one self-inverse column, so its square holds by
+construction and is certified, not scanned; any other generator has a
+column for itself and one for its inverse.  A completed table is compacted
+once and certified post hoc -- all relators, squares included, trace to the
+identity from every coset and the action is transitive -- before an order
+is reported.  The first definition that would exceed the coset cap
+(counted in live cosets) ends the run at once, with a table without an
+order, never a guess.
 
 The double-branched-cover group of a knot is the index-2 kernel of the
 meridian parity map on the orbifold quotient (knot group modulo meridian
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotIndexTwo, ValidationError
 from .groups import FiniteGroup
-from .linalg import cokernel
 
 DEFAULT_COSET_CAP = 200_000
 MAX_RELATOR_LENGTH = 128  # Tietze elimination stops before a longer relator
@@ -214,17 +217,6 @@ def orbifold_quotient(pres):
     return GroupPresentation.make(pres.ngens, list(pres.relators) + extra)
 
 
-def abelianize(pres):
-    """Smith normal form of the exponent-sum matrix."""
-    rows = []
-    for rel in pres.relators:
-        row = [0] * pres.ngens
-        for letter in rel:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append(row)
-    return cokernel(rows, pres.ngens)
-
-
 # -- coset enumeration -------------------------------------------------------------
 
 
@@ -248,13 +240,30 @@ class CosetTable:
 class _Enumerator:
     def __init__(self, pres, cap):
         self.ngens = pres.ngens
-        self.ncols = 2 * pres.ngens
         self.cap = cap
         self.relators = [r for r in map(cyclic_reduce, pres.relators) if r]
-        # column 2(g-1) is generator g, column 2(g-1)+1 its inverse
-        self.words = [
-            tuple(2 * (abs(l) - 1) + (l < 0) for l in rel) for rel in self.relators
-        ]
+        squares = {r for r in self.relators if len(r) == 2 and r[0] == r[1]}
+        involutions = {abs(r[0]) for r in squares}
+        # A squared generator gets one self-inverse column, any other
+        # generator g a column for g and the next one for g^-1.
+        col, inv = {}, []
+        for g in range(1, pres.ngens + 1):
+            c = col[g] = len(inv)
+            if g in involutions:
+                col[-g] = c
+                inv.append(c)
+            else:
+                col[-g] = c + 1
+                inv += [c + 1, c]
+        self.col, self.inv, self.ncols = col, inv, len(inv)
+        # The squares hold by construction of their columns, so only the
+        # certificate reads them; each word is scanned forwards in its
+        # columns and backwards in their inverses.
+        self.words = []
+        for rel in self.relators:
+            if rel not in squares:
+                word = tuple(col[l] for l in rel)
+                self.words.append((word, tuple(inv[x] for x in word)))
         self.table = [[-1] * self.ncols]
         self.p = [0]
         self.n_live = 1
@@ -280,24 +289,24 @@ class _Enumerator:
     def _coincidence(self, a, b):
         queue = []
         self._merge(a, b, queue)
-        table = self.table
+        table, inv = self.table, self.inv
         while queue:
             gamma = queue.pop()
             row = table[gamma]
-            for x in range(self.ncols):
+            for x, y in enumerate(inv):
                 delta = row[x]
                 if delta == -1:
                     continue
-                table[delta][x ^ 1] = -1
+                table[delta][y] = -1
                 mu = self.rep(gamma)
                 nu = self.rep(delta)
                 if table[mu][x] != -1:
                     self._merge(nu, table[mu][x], queue)
-                elif table[nu][x ^ 1] != -1:
-                    self._merge(mu, table[nu][x ^ 1], queue)
+                elif table[nu][y] != -1:
+                    self._merge(mu, table[nu][y], queue)
                 else:
                     table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    table[nu][y] = mu
 
     def _define(self, alpha, x):
         if self.n_live >= self.cap:
@@ -308,10 +317,13 @@ class _Enumerator:
         self.p.append(beta)
         self.n_live += 1
         table[alpha][x] = beta
-        table[beta][x ^ 1] = alpha
+        table[beta][self.inv[x]] = alpha
 
-    def _scan(self, alpha, word):
-        """Trace ``word`` from alpha both ways, defining cosets until it closes."""
+    def _scan(self, alpha, word, back):
+        """Trace ``word`` from alpha both ways, defining cosets until it closes.
+
+        ``back`` holds the inverse column of each letter of ``word``.
+        """
         table = self.table
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
@@ -323,15 +335,15 @@ class _Enumerator:
                 if f != b:
                     self._coincidence(f, b)
                 return
-            while j >= i and table[b][word[j] ^ 1] != -1:
-                b = table[b][word[j] ^ 1]
+            while j >= i and table[b][back[j]] != -1:
+                b = table[b][back[j]]
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
                 return
             if j == i:
                 table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                table[b][back[i]] = f
                 return
             self._define(f, word[i])
 
@@ -341,8 +353,8 @@ class _Enumerator:
         try:
             while alpha < len(self.table):
                 if self.p[alpha] == alpha:
-                    for word in self.words:
-                        self._scan(alpha, word)
+                    for word, back in self.words:
+                        self._scan(alpha, word, back)
                         if self.p[alpha] != alpha:
                             break
                     else:
@@ -359,8 +371,8 @@ class _Enumerator:
         live = [i for i in range(len(self.table)) if self.p[i] == i]
         index = {old: new for new, old in enumerate(live)}
         perms = []
-        for col in range(0, self.ncols, 2):
-            entries = (self.table[old][col] for old in live)
+        for g in range(1, self.ngens + 1):
+            entries = (self.table[old][self.col[g]] for old in live)
             perms.append(tuple(index[self.rep(v)] if v != -1 else -1 for v in entries))
         table = CosetTable(self.cap, len(live), tuple(perms))
         if not certify_table(table, self.relators):

@@ -204,8 +204,8 @@ def test_acceptance_7_orbit_geometry():
 
 def test_acceptance_8_oracle_suites():
     t0 = time.perf_counter()
-    # Todd-Coxeter vs brute-force word enumeration on 10 presentations
-    assert len(NAIVE_CASES) == 10
+    # Todd-Coxeter vs brute-force word enumeration on 11 presentations
+    assert len(NAIVE_CASES) == 11
     for _, ngens, rels, max_len, expected in NAIVE_CASES:
         pres = pr.GroupPresentation.make(ngens, rels)
         assert pr.todd_coxeter(pres, 10_000).order == naive_group_order(

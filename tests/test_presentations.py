@@ -41,6 +41,17 @@ def test_presentation_parse_rejects_non_integers(text):
 # -- Wirtinger and quotients ----------------------------------------------------
 
 
+def abelianize(pres):
+    """Smith normal form of the exponent-sum matrix."""
+    rows = []
+    for rel in pres.relators:
+        row = [0] * pres.ngens
+        for letter in rel:
+            row[abs(letter) - 1] += 1 if letter > 0 else -1
+        rows.append(row)
+    return cokernel(rows, pres.ngens)
+
+
 def test_wirtinger_unknot():
     d = kn.parse_pd("[]")
     w = pr.wirtinger(d)
@@ -51,7 +62,7 @@ def test_wirtinger_trefoil():
     w = pr.wirtinger(kn.parse_pd(TREFOIL_PD))
     assert w.ngens == 3
     assert len(w.relators) == 2
-    assert str(pr.abelianize(w)) == "Z"
+    assert str(abelianize(w)) == "Z"
 
 
 def test_wirtinger_figure8():
@@ -59,7 +70,7 @@ def test_wirtinger_figure8():
     w = pr.wirtinger(fig8)
     assert w.ngens == 4
     assert len(w.relators) == 3
-    assert str(pr.abelianize(w)) == "Z"
+    assert str(abelianize(w)) == "Z"
 
 
 def test_knot_group_abelianization_is_z_on_corpus_families():
@@ -69,7 +80,7 @@ def test_knot_group_abelianization_is_z_on_corpus_families():
         kn.braid_to_diagram(kn.torus_knot(3, 5)),
         kn.montesinos(0, [(1, 3), (1, 5), (1, 7)]),
     ]:
-        assert str(pr.abelianize(pr.wirtinger(d))) == "Z"
+        assert str(abelianize(pr.wirtinger(d))) == "Z"
 
 
 def test_orbifold_quotient_unknot():
@@ -85,7 +96,7 @@ def test_orbifold_quotient_orders():
     fig8 = kn.braid_to_diagram(kn.parse_braid("strands=3 1 -2 1 -2"))
     orb = pr.orbifold_quotient(pr.wirtinger(fig8))
     assert pr.todd_coxeter(orb, 100).order == 10
-    assert str(pr.abelianize(tre)) == "Z/2"
+    assert str(abelianize(tre)) == "Z/2"
 
 
 # -- Tietze reduction to a bridge presentation ------------------------------------
@@ -115,7 +126,7 @@ def test_reduction_never_adds_generators_and_keeps_the_knot_group_homology():
         wirt = pr.wirtinger(d)
         bridge = pr.bridge_presentation(wirt)
         assert bridge.ngens <= wirt.ngens, d.name
-        assert str(pr.abelianize(bridge)) == "Z", d.name
+        assert str(abelianize(bridge)) == "Z", d.name
 
 
 def hurwitz_orbifold(braid):
@@ -153,7 +164,7 @@ def test_reduction_stops_at_the_relator_length_bound(monkeypatch):
     capped = pr.bridge_presentation(wirt)
     assert 3 < capped.ngens < wirt.ngens
     assert max(len(r) for r in capped.relators) <= 6
-    assert str(pr.abelianize(capped)) == "Z"
+    assert str(abelianize(capped)) == "Z"
 
 
 def test_reduction_guard_rejects_a_lost_generator(monkeypatch):
@@ -193,8 +204,8 @@ def test_todd_coxeter_torus_3_7_orbifold_inconclusive():
 
 
 def test_coset_cap_counts_peak_live_cosets(monkeypatch):
-    # A4 = <a, b | a^2, b^3, (ab)^3> peaks at 14 live cosets on its way to 12
-    pres = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2)])
+    # S4 = <a, b | a^2, b^3, (ab)^4> peaks at 26 live cosets on its way to 24
+    pres = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2) * 4])
     define = pr._Enumerator._define
     peak = [1]
 
@@ -203,11 +214,11 @@ def test_coset_cap_counts_peak_live_cosets(monkeypatch):
         peak[0] = max(peak[0], self.n_live)
 
     monkeypatch.setattr(pr._Enumerator, "_define", tracked)
-    assert pr.todd_coxeter(pres, 10_000).order == 12
+    assert pr.todd_coxeter(pres, 10_000).order == 24
     monkeypatch.undo()
-    assert peak[0] == 14
-    assert pr.todd_coxeter(pres, 14).order == 12
-    below = pr.todd_coxeter(pres, 13)
+    assert peak[0] == 26
+    assert pr.todd_coxeter(pres, 26).order == 24
+    below = pr.todd_coxeter(pres, 25)
     assert below.finite is False
     assert below.order is None
 
@@ -219,6 +230,21 @@ def test_completed_tables_are_certified():
     assert pr.certify_table(out, [list(r) for r in pres.relators])
     # transitivity and bijectivity are part of the certificate
     assert sorted(out.perms[0]) == list(range(out.order))
+
+
+def test_squared_generators_get_one_self_inverse_column():
+    orb = pr.orbifold_quotient(pr.wirtinger(kn.parse_pd(TREFOIL_PD)))
+    assert pr._Enumerator(orb, 100).ncols == orb.ngens
+    free = pr.GroupPresentation.make(2, [])
+    assert pr._Enumerator(free, 100).ncols == 2 * free.ngens
+
+
+def test_certificate_still_checks_the_unscanned_squares():
+    # <a, b | a^2, b^2>: a 3-cycle in a's column breaks a^2 and nothing else
+    pres = pr.GroupPresentation.make(2, [(1, 1), (2, 2)])
+    table = pr.CosetTable(10, 3, ((1, 2, 0), (0, 2, 1)))
+    assert not pr.certify_table(table, pres.relators)
+    assert pr.certify_table(table, [(2, 2)])
 
 
 def test_uncertified_table_raises(monkeypatch):
@@ -238,6 +264,7 @@ NAIVE_CASES = [
     ("Z6", 2, [(1, 1), (2, 2, 2), (1, 2, -1, -2)], 8, 6),
     ("D6", 2, [(1, 1), (2,) * 6, (1, 2, 1, 2)], 9, 12),
     ("A4", 2, [(1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2)], 9, 12),
+    ("D4-inverted", 2, [(-1, -1), (2, 2, 2, 2), (-1, 2, 1, 2)], 8, 8),
 ]
 
 
