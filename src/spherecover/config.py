@@ -16,7 +16,6 @@ ENV_CONFIG = "SPHERECOVER_CONFIG"
 class RunConfig:
     coset_cap: int = 200_000
     group_cap: int = 100_000
-    tol_grid: float = 1e-12
     tol_oracle: float = 1e-3
     corpus_path: str | None = None  # None: packaged corpus
     cache_path: str | None = None  # None: caching disabled
@@ -32,7 +31,7 @@ class RunConfig:
                 raise ConfigError(f"config field {f.name!r} must be {kind}, not {value!r}")
         if self.coset_cap < 1 or self.group_cap < 1:
             raise ConfigError("caps must be >= 1")
-        if not (self.tol_grid > 0 and self.tol_oracle > 0):
+        if not self.tol_oracle > 0:
             raise ConfigError("tolerances must be positive")
         if self.output_format not in ("table", "json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")

@@ -12,9 +12,11 @@ by Clairaut shooting) against true orbit distances obtained by minimizing
 round-sphere distance over the circle action, and rejects the profile
 loudly when they disagree beyond tolerance.
 
-Thresholds default to the run configuration: ``RunConfig.tol_grid`` for
-pointwise closed-form comparisons and ``RunConfig.tol_oracle`` for the
-oracle gate.  Orbit distances refine the circle parameter to 1e-9.
+In s = sin^2 t the profile is f^2 = s (1 - s) / (l^2 s + k^2 (1 - s)), so
+everything but the oracle is decided in closed form: the chain and
+doubling comparisons are two integer inequalities, and the turning points
+f = c of a Clairaut geodesic are the roots of a quadratic in s.  The gate
+threshold defaults to ``RunConfig.tol_oracle``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .config import RunConfig
 from .errors import OracleMismatch, SpecViolation
@@ -53,16 +54,13 @@ class WeightedAction:
 class RevolutionProfile:
     """Profile f >= 0 on [0, T] with f(0) = f(T) = 0; metric dt^2 + f^2 dphi^2."""
 
-    kind: str  # "weighted" | "suspension" | "doubled"
+    kind: str  # "weighted" | "doubled"
     domain: tuple[float, float]
     params: tuple
 
     def value(self, t):
         """f at t, for a float or an array of floats."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "suspension":
-            (n,) = self.params
-            return np.sin(t) / n
         k, l = self.params
         s, c = np.sin(t), np.cos(t)
         f = s * c / np.sqrt(l * l * s * s + k * k * c * c)
@@ -74,13 +72,6 @@ def profile(action):
     return RevolutionProfile("weighted", (0.0, math.pi / 2), (action.k, action.l))
 
 
-def suspension_profile(n):
-    """S^2(1)/Z_n: the spherical suspension of a circle of length 2*pi/n."""
-    if n < 1:
-        raise SpecViolation("suspension order must be >= 1")
-    return RevolutionProfile("suspension", (0.0, math.pi), (n,))
-
-
 def branched_double(prof):
     """Profile of the two-fold cover branched at both singular ends (2*f)."""
     if prof.kind != "weighted":
@@ -88,77 +79,59 @@ def branched_double(prof):
     return RevolutionProfile("doubled", prof.domain, prof.params)
 
 
-def cone_angles(prof):
-    """(2*pi*f'(0+), 2*pi*|f'(T-)|) by one-sided Richardson differences."""
-
-    def one_sided(t0, direction):
-        h = 1e-3
-        estimates = []
-        for level in range(4):
-            step = h / (2**level)
-            estimates.append(direction * prof.value(t0 + direction * step) / step)
-        # Richardson ladder for O(h) one-sided quotients of an odd-ish profile
-        d = estimates
-        for _ in range(3):
-            d = [(4 * b - a) / 3 for a, b in zip(d, d[1:])]
-        return d[0]
-
-    t0, t1 = prof.domain
-    return (
-        2 * math.pi * one_sided(t0, 1.0),
-        2 * math.pi * abs(one_sided(t1, -1.0)),
-    )
+def _scale(prof):
+    """sigma in f = sigma * sqrt(s (1 - s) / D): 2 for a doubled profile, else 1."""
+    return 2 if prof.kind == "doubled" else 1
 
 
-def compare(prof_a, prof_b, grid_size=10_000, tol=RunConfig.tol_grid):
-    """Pointwise domination f_a >= f_b - tol on a uniform grid."""
-    if prof_a.domain != prof_b.domain:
-        raise SpecViolation("profiles must share a domain to compare")
-    if grid_size < 2:
-        raise SpecViolation("a comparison grid needs both domain ends (grid >= 2)")
-    ts = np.linspace(prof_a.domain[0], prof_a.domain[1], grid_size)
-    va, vb = prof_a.value(ts), prof_b.value(ts)
-    gap = vb - va
-    worst = int(np.argmax(gap))
-    ok = bool(gap[worst] <= tol)
-    return ok, float(gap[worst]), float(ts[worst])
+def compare(prof_a, prof_b):
+    """Whether f_a >= f_b on the whole domain, decided on integers.
+
+    sigma_a^2 D_b - sigma_b^2 D_a is linear in s = sin^2 t, so it is
+    nonnegative on [0, 1] exactly when it is at s = 0 and at s = 1.
+    """
+    (ka, la), (kb, lb) = prof_a.params, prof_b.params
+    sa, sb = _scale(prof_a) ** 2, _scale(prof_b) ** 2
+    return sa * kb * kb >= sb * ka * ka and sa * lb * lb >= sb * la * la
 
 
 # -- distances ----------------------------------------------------------------------
 
 
-def orbit_distance(action, p, q, grid=2048):
+MAX_ORACLE_WEIGHT = 10_000  # largest k the oracle samples (its grid has 16 k points)
+
+
+def orbit_distance(action, p, q):
     """Distance between the orbits of p and q: min over the circle parameter.
 
     The inner product with the rotated q is A(theta) = Re(c1 e^{-ik theta}
-    + c2 e^{-il theta}); dense sampling brackets the maximum and a bounded
-    scalar minimization refines it.
+    + c2 e^{-il theta}).  It is sampled 16 times per period of its fastest
+    term, and Newton steps on A' refine every local maximum of the samples
+    at once; a refined value only counts where it beats the samples.
     """
+    k, l = action.k, action.l
+    if k > MAX_ORACLE_WEIGHT:
+        raise SpecViolation(f"the orbit oracle takes weights up to {MAX_ORACLE_WEIGHT}")
     c1 = p[0] * q[0].conjugate()
     c2 = p[1] * q[1].conjugate()
-    thetas = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    vals = (c1 * np.exp(-1j * action.k * thetas)).real + (
-        c2 * np.exp(-1j * action.l * thetas)
-    ).real
-    best = int(np.argmax(vals))
-    if vals[best] >= 1.0 - 1e-14:
+
+    def terms(theta):
+        return c1 * np.exp(-1j * k * theta), c2 * np.exp(-1j * l * theta)
+
+    thetas = np.linspace(0.0, 2 * math.pi, max(2048, 16 * k), endpoint=False)
+    e1, e2 = terms(thetas)
+    vals = e1.real + e2.real
+    top = vals.max()
+    if top >= 1.0 - 1e-14:
         return 0.0
-
-    def neg(theta):
-        return -(
-            (c1 * cmath.exp(-1j * action.k * theta)).real
-            + (c2 * cmath.exp(-1j * action.l * theta)).real
-        )
-
-    width = 2 * math.pi / grid
-    center = thetas[best]
-    res = optimize.minimize_scalar(
-        neg,
-        bounds=(center - width, center + width),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    top = max(vals[best], -res.fun)
+    theta = thetas[(vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))]
+    for _ in range(4):  # from 16 samples per period, three steps reach rounding
+        e1, e2 = terms(theta)
+        d1 = k * e1.imag + l * e2.imag  # A'
+        d2 = -k * k * e1.real - l * l * e2.real  # A''
+        theta = theta - d1 / np.where(d2 < 0.0, d2, -np.inf)  # non-concave points stay
+    e1, e2 = terms(theta)
+    top = max(top, (e1.real + e2.real).max())
     return math.acos(max(-1.0, min(1.0, top)))
 
 
@@ -181,11 +154,25 @@ SAMPLES = 24  # Clairaut constants sampled per branch before root bracketing
 TIP = 1e-3  # smallest turning-branch constant, as a fraction of c_max
 
 
-def _turning(prof, c, tip, t):
-    """The point between the cone tip and t where f = c; the tip itself when f(tip) >= c."""
-    if prof.value(tip) >= c:
-        return tip
-    return optimize.brentq(lambda s: prof.value(s) - c, tip, t, xtol=1e-13)
+def _turning(prof, c):
+    """The roots a <= b of f = c, the turning points of a Clairaut geodesic.
+
+    In s = sin^2 t, f = c is s^2 - 2 h s + (c k)^2 = 0 with
+    h = (1 + c^2 (k^2 - l^2)) / 2 (c scaled to the weighted profile).  The
+    small root is taken without cancellation, the far one through
+    (1 - s_a)(1 - s_b) = (c l)^2, and the discriminant h^2 - (c k)^2 in
+    factored form, which keeps its digits near the peak f = 1/(k + l).
+    """
+    k, l = prof.params
+    c = c / _scale(prof)
+    h = 0.5 * (1.0 + c * c * (k * k - l * l))
+    disc = (h + c * k) * 0.5 * max(1.0 - c * (k + l), 0.0) * (1.0 - c * (k - l))
+    s_a = (c * k) ** 2 / (h + math.sqrt(disc))
+    r_b = (c * l) ** 2 / (1.0 - s_a)  # 1 - s_b
+    return (
+        math.atan2(math.sqrt(s_a), math.sqrt(1.0 - s_a)),
+        math.atan2(math.sqrt(1.0 - r_b), math.sqrt(r_b)),
+    )
 
 
 def _pieces(prof, c, a, b, t1, t2):
@@ -262,7 +249,10 @@ def profile_distance(prof, a, b):
         # s in [0, 1): the direct branch at c = s * c_max; s in [1, 2]:
         # ``branch`` at c = (2 - s) * c_max
         c = c_max * (1.0 - abs(1.0 - s))
-        ta, tb = _turning(prof, c, t0, t1), _turning(prof, c, t_end, t2)
+        ta, tb = _turning(prof, c)
+        # an endpoint with f <= c is the tangency itself
+        ta = t1 if f1 <= c else min(ta, t1)
+        tb = t2 if f2 <= c else max(tb, t2)
         return _pieces(prof, c, ta, tb, t1, t2) @ (branch if s >= 1.0 else direct)
 
     grid = np.linspace(0.0, 1.0, SAMPLES + 1)
@@ -272,8 +262,14 @@ def profile_distance(prof, a, b):
         for s in path:
             gap = shoot(s, branch)[0] - w
             if prev_gap is not None and (gap == 0 or (gap > 0) != (prev_gap > 0)):
-                s_root = optimize.brentq(lambda v: shoot(v, branch)[0] - w, prev_s, s, xtol=1e-11)
-                phi_root, len_root = shoot(s_root, branch)
+                lo, hi = prev_s, s  # bisect, keeping prev_gap's side at lo
+                while hi - lo > 1e-13:
+                    mid = 0.5 * (lo + hi)
+                    if (shoot(mid, branch)[0] > w) == (prev_gap > 0):
+                        lo = mid
+                    else:
+                        hi = mid
+                phi_root, len_root = shoot(0.5 * (lo + hi), branch)
                 if abs(phi_root - w) < 1e-5:  # reject quadrature-jitter roots
                     candidates.append(len_root)
             prev_s, prev_gap = s, gap

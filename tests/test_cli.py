@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -74,6 +76,15 @@ def test_orbit_compare_chain():
     code, out, _ = run_cli(["orbit", "compare", "--chain", "3", "2"])
     assert code == 0
     assert "True" in out
+    code, out, _ = run_cli(["orbit", "compare", "--chain", "3", "2", "--format", "json"])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["comparison"] for r in records] == [
+        "f(1,1) >= f(3,1)",
+        "f(3,1) >= f(3,2)",
+        "f(1,1) >= 2*f(3,2)",
+    ]
+    assert all(r == {"comparison": r["comparison"], "holds": True} for r in records)
 
 
 def test_orbit_validate_small():
@@ -91,8 +102,6 @@ def test_orbit_bad_params_exit_one():
     "argv",
     [
         ["orbit", "profile", "2", "1", "--points", "0"],
-        ["orbit", "compare", "--chain", "3", "2", "--grid", "0"],
-        ["orbit", "compare", "--chain", "3", "2", "--grid", "1"],
         ["orbit", "validate", "2", "1", "--samples", "-3"],
         ["orbit", "validate", "2", "1", "--samples", "0"],
     ],
@@ -102,6 +111,22 @@ def test_orbit_degenerate_counts_exit_one(argv):
     assert code == 1
     assert err.startswith("SpecViolation") and "Traceback" not in err
     assert "pass" not in out and "discrepancy" not in out
+
+
+def test_orbit_validate_weight_limit_exits_one():
+    code, out, err = run_cli(["orbit", "validate", "10001", "1", "--samples", "1"])
+    assert code == 1
+    assert err.startswith("SpecViolation") and "Traceback" not in err
+    assert out == ""
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, spherecover.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_internal_inconsistency_has_its_own_exit(monkeypatch, tmp_path):
@@ -327,7 +352,7 @@ def test_config_unknown_keys_rejected(tmp_path):
         ('{"coset_cap": "abc"}', "'coset_cap' must be an integer"),
         ('{"coset_cap": true}', "'coset_cap' must be an integer"),
         ('{"seed": "a"}', "'seed' must be an integer"),
-        ('{"tol_grid": "small"}', "'tol_grid' must be a number"),
+        ('{"tol_oracle": "small"}', "'tol_oracle' must be a number"),
         ('{"tol_oracle": NaN}', "tolerances must be positive"),
         ('{"show_timing": 1}', "'show_timing' must be true or false"),
         ('{"cache_path": 3}', "'cache_path' must be a string or null"),
