@@ -102,6 +102,8 @@ def test_orbit_bad_params_exit_one():
     "argv",
     [
         ["orbit", "profile", "2", "1", "--points", "0"],
+        ["orbit", "profile", "3", "2", "--points", "-4"],
+        ["orbit", "validate", "3", "2", "--samples", "-1"],
         ["orbit", "validate", "2", "1", "--samples", "-3"],
         ["orbit", "validate", "2", "1", "--samples", "0"],
     ],
