@@ -463,13 +463,3 @@ def _factor_closure(one, quats, cap):
 def generate_group(gens, cap=DEFAULT_GROUP_CAP):
     """Closure of Spin(4) elements into a rotation group."""
     return FiniteRotationGroup.generate_rotations(gens, cap=cap)
-
-
-# -- convenience: named quaternion groups ------------------------------------------
-
-
-def quaternion_group_q8():
-    """The eight Lipschitz units as a Spin(4) group acting on the left."""
-    i = qt.Spin4Element(qt.quat_i(), qt.quat_one())
-    j = qt.Spin4Element(qt.quat_j(), qt.quat_one())
-    return generate_group([i, j], cap=32)

@@ -647,31 +647,3 @@ def h1_double_cover(diagram):
         return AbelianGroup()
     rows = [row[: n - 1] for row in _crossing_arc_matrix(diagram)[: n - 1]]
     return cokernel(rows, n - 1)
-
-
-def alexander_at(diagram, t):
-    """|det| of the Alexander matrix at integer t (defined up to powers of |t|).
-
-    Rows follow the crossing relation: at a positive crossing the under-out
-    arc is the over-conjugate of the under-in arc; evaluation abelianizes
-    every arc generator to t.
-    """
-    n = diagram.crossing_count
-    if n == 0:
-        return 1
-    arcs = diagram.arc_of_edge
-    rows = []
-    for cr in diagram.crossings:
-        row = [0] * diagram.arc_count
-        if cr.sign > 0:
-            row[arcs[cr.over_edges[0]]] += 1 - t
-            row[arcs[cr.under_in]] += t
-            row[arcs[cr.under_out]] -= 1
-        else:
-            row[arcs[cr.over_edges[0]]] += t - 1
-            row[arcs[cr.under_in]] += 1
-            row[arcs[cr.under_out]] -= t
-        rows.append(row)
-    deleted = [row[: n - 1] for row in rows[: n - 1]]
-    return abs(integer_determinant(deleted))
-

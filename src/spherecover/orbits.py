@@ -213,11 +213,14 @@ def profile_distance(prof, a, b):
     """Geodesic distance between orbit points (t, phi) in dt^2 + f^2 dphi^2.
 
     Candidates: routes through either cone point, the direct meridian when
-    the angles agree, and Clairaut geodesics whose angular transport
-    matches the target; the shortest wins.  Over the arcs A, M, B of
-    :func:`_pieces`, the direct geodesic at Clairaut constant c is M, the
-    one turning below t1 is 2A + M and the one turning beyond t2 is
-    M + 2B.  At c_max = min(f(t1), f(t2)) the endpoint with the smaller f
+    the angles agree, the route along the parallel of the endpoint with the
+    smaller f and then along the meridian, and Clairaut geodesics whose
+    angular transport matches the target; the shortest wins.  The parallel
+    route is the answer where no Clairaut bracket forms, as for two points
+    on the peak parallel of f, which is itself a geodesic.  Over the arcs
+    A, M, B of :func:`_pieces`, the direct geodesic at Clairaut constant c
+    is M, the one turning below t1 is 2A + M and the one turning beyond t2
+    is M + 2B.  At c_max = min(f(t1), f(t2)) the endpoint with the smaller f
     is a turning point, so the direct branch continues into the turning
     branch on that side.  The two are shot as one path, so a target
     whose geodesic is close to that tangency is bracketed like any other.
@@ -242,6 +245,7 @@ def profile_distance(prof, a, b):
         return min(candidates)  # a point at a cone tip: the route through it is exact
     f1, f2 = prof.value(t1), prof.value(t2)
     c_max = min(f1, f2)
+    candidates.append(c_max * w + (t2 - t1))
     direct, left, right = (0, 1, 0), (2, 1, 0), (0, 1, 2)
     near, far = (left, right) if f1 <= f2 else (right, left)
 

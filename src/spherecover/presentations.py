@@ -3,10 +3,12 @@
 The enumerator is the relator-based (HLT) strategy in one pass: every live
 coset is scanned against every relator, gaps are filled by defining new
 cosets, and coincidences are merged through a union-find with table
-migration.  A generator whose square is a relator (every meridian of an
-orbifold quotient) is one self-inverse column, so its square holds by
-construction and is certified, not scanned; any other generator has a
-column for itself and one for its inverse.  A completed table is compacted
+migration.  The coset table is one flat list in which every entry is the
+base offset of a coset's row, so following an edge is one index.  A
+generator whose square is a relator (every meridian of an orbifold
+quotient) is one self-inverse column, so its square holds by construction
+and is certified, not scanned; any other generator has a column for itself
+and one for its inverse.  A completed table is compacted
 once and certified post hoc -- all relators, squares included, trace to the
 identity from every coset and the action is transitive -- before an order
 is reported.  The first definition that would exceed the coset cap
@@ -258,15 +260,17 @@ class _Enumerator:
         self.col, self.inv, self.ncols = col, inv, len(inv)
         # The squares hold by construction of their columns, so only the
         # certificate reads them; each word is scanned forwards in its
-        # columns and backwards in their inverses.
+        # columns and backwards in their inverses, from its last index.
         self.words = []
         for rel in self.relators:
             if rel not in squares:
                 word = tuple(col[l] for l in rel)
-                self.words.append((word, tuple(inv[x] for x in word)))
-        self.table = [[-1] * self.ncols]
+                self.words.append((word, tuple(inv[x] for x in word), len(word) - 1))
+        # Coset c owns entries c*ncols .. c*ncols + ncols - 1 of one flat
+        # table, and a defined entry holds the base offset of its coset.
+        self.table = [-1] * self.ncols
         self.p = [0]
-        self.n_live = 1
+        self.dead = 0
 
     def rep(self, k):
         p = self.p
@@ -278,110 +282,119 @@ class _Enumerator:
         return r
 
     def _merge(self, a, b, queue):
-        a, b = self.rep(a), self.rep(b)
+        """Merge the cosets at offsets a and b; queue the one that dies."""
+        a, b = self.rep(a // self.ncols), self.rep(b // self.ncols)
         if a != b:
             if a > b:
                 a, b = b, a
             self.p[b] = a
-            self.n_live -= 1
+            self.dead += 1
             queue.append(b)
 
     def _coincidence(self, a, b):
+        """Merge the cosets at offsets a and b, and every pair that forces."""
+        table, inv, n = self.table, self.inv, self.ncols
         queue = []
         self._merge(a, b, queue)
-        table, inv = self.table, self.inv
         while queue:
             gamma = queue.pop()
-            row = table[gamma]
+            row = gamma * n
             for x, y in enumerate(inv):
-                delta = row[x]
+                delta = table[row + x]
                 if delta == -1:
                     continue
-                table[delta][y] = -1
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if table[mu][x] != -1:
-                    self._merge(nu, table[mu][x], queue)
-                elif table[nu][y] != -1:
-                    self._merge(mu, table[nu][y], queue)
+                table[delta + y] = -1
+                mu = self.rep(gamma) * n
+                nu = self.rep(delta // n) * n
+                if table[mu + x] != -1:
+                    self._merge(nu, table[mu + x], queue)
+                elif table[nu + y] != -1:
+                    self._merge(mu, table[nu + y], queue)
                 else:
-                    table[mu][x] = nu
-                    table[nu][y] = mu
-
-    def _define(self, alpha, x):
-        if self.n_live >= self.cap:
-            raise _TableFull
-        table = self.table
-        beta = len(table)
-        table.append([-1] * self.ncols)
-        self.p.append(beta)
-        self.n_live += 1
-        table[alpha][x] = beta
-        table[beta][self.inv[x]] = alpha
-
-    def _scan(self, alpha, word, back):
-        """Trace ``word`` from alpha both ways, defining cosets until it closes.
-
-        ``back`` holds the inverse column of each letter of ``word``.
-        """
-        table = self.table
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while True:
-            while i <= j and table[f][word[i]] != -1:
-                f = table[f][word[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    self._coincidence(f, b)
-                return
-            while j >= i and table[b][back[j]] != -1:
-                b = table[b][back[j]]
-                j -= 1
-            if j < i:
-                self._coincidence(f, b)
-                return
-            if j == i:
-                table[f][word[i]] = b
-                table[b][back[i]] = f
-                return
-            self._define(f, word[i])
+                    table[mu + x] = nu
+                    table[nu + y] = mu
 
     def run(self):
-        """Scan each live coset under every relator, then fill its row's gaps."""
+        """Scan each live coset under every relator, then fill its row's gaps.
+
+        Each relator word is traced from the coset both ways, forwards in
+        ``word`` and backwards in ``back`` (the inverse column of each
+        letter), and a gap is filled by defining a new coset, from which the
+        forward trace continues, until the word closes.  The first
+        definition that would make ``cap`` live cosets ends the run.
+        """
+        table, p, inv, n = self.table, self.p, self.inv, self.ncols
+        blank = [-1] * n
+        # ``top`` cosets are defined, the next one starts at offset ``nxt``,
+        # and a definition is refused once top - dead live cosets reach cap.
+        limit = self.cap
+        top, nxt = 1, n
         alpha = 0
-        try:
-            while alpha < len(self.table):
-                if self.p[alpha] == alpha:
-                    for word, back in self.words:
-                        self._scan(alpha, word, back)
-                        if self.p[alpha] != alpha:
+        while alpha < top:
+            if p[alpha] == alpha:
+                row = alpha * n
+                for word, back, last in self.words:
+                    f, i = row, 0
+                    b, j = row, last
+                    while True:
+                        while i <= j and (e := table[f + word[i]]) != -1:
+                            f = e
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                self._coincidence(f, b)
+                                limit = self.cap + self.dead
                             break
-                    else:
-                        for x in range(self.ncols):
-                            if self.table[alpha][x] == -1:
-                                self._define(alpha, x)
-                alpha += 1
-        except _TableFull:
-            return CosetTable(self.cap)
+                        while j >= i and (e := table[b + back[j]]) != -1:
+                            b = e
+                            j -= 1
+                        if j < i:
+                            self._coincidence(f, b)
+                            limit = self.cap + self.dead
+                            break
+                        if j == i:
+                            table[f + word[i]] = b
+                            table[b + back[i]] = f
+                            break
+                        if top >= limit:
+                            return CosetTable(self.cap)
+                        p.append(top)
+                        top += 1
+                        table += blank
+                        table[f + word[i]] = nxt
+                        table[nxt + back[i]] = f
+                        f = nxt
+                        nxt += n
+                        i += 1
+                    if p[alpha] != alpha:
+                        break
+                else:
+                    for x in range(n):
+                        if table[row + x] == -1:
+                            if top >= limit:
+                                return CosetTable(self.cap)
+                            p.append(top)
+                            top += 1
+                            table += blank
+                            table[row + x] = nxt
+                            table[nxt + inv[x]] = row
+                            nxt += n
+            alpha += 1
         return self._complete()
 
     def _complete(self):
         """Renumber the live cosets 0..n-1 in order, then certify the table."""
-        live = [i for i in range(len(self.table)) if self.p[i] == i]
+        n = self.ncols
+        live = [c for c, r in enumerate(self.p) if r == c]
         index = {old: new for new, old in enumerate(live)}
         perms = []
         for g in range(1, self.ngens + 1):
-            entries = (self.table[old][self.col[g]] for old in live)
-            perms.append(tuple(index[self.rep(v)] if v != -1 else -1 for v in entries))
+            entries = (self.table[old * n + self.col[g]] for old in live)
+            perms.append(tuple(index[self.rep(v // n)] if v != -1 else -1 for v in entries))
         table = CosetTable(self.cap, len(live), tuple(perms))
         if not certify_table(table, self.relators):
             raise InternalInconsistency("completed coset table fails its certificate")
         return table
-
-
-class _TableFull(Exception):
-    pass
 
 
 def certify_table(table, relators):
@@ -401,9 +414,10 @@ def certify_table(table, relators):
     # transitivity from coset 0
     seen = {0}
     frontier = [0]
+    both = list(perms) + inv
     while frontier:
         c = frontier.pop()
-        for perm in list(perms) + inv:
+        for perm in both:
             d = perm[c]
             if d not in seen:
                 seen.add(d)

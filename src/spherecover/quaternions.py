@@ -190,10 +190,6 @@ class Spin4Element:
         return f"Spin4({self.left!r}, {self.right!r})"
 
 
-def spin_identity():
-    return Spin4Element(quat_one(), quat_one())
-
-
 class RotationClass:
     """SO(4) element: a Spin(4) pair up to simultaneous sign flip.
 

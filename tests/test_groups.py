@@ -11,7 +11,7 @@ from spherecover.errors import (
     SphereCoverError,
     WrongAmbient,
 )
-from spherecover.groups import FiniteGroup, generate_group, quaternion_group_q8
+from spherecover.groups import FiniteGroup, generate_group
 from spherecover.spaceforms import (
     binary_icosahedral_generators,
     octahedral_extra_generator,
@@ -24,7 +24,8 @@ def spin_left(q):
 
 @pytest.fixture(scope="module")
 def q8():
-    return quaternion_group_q8()
+    """The eight Lipschitz units as a Spin(4) group acting on the left."""
+    return generate_group([spin_left(qt.quat_i()), spin_left(qt.quat_j())], cap=32)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,7 @@ def test_subgroup_intersections(icosa):
     product = generate_group(gens, cap=512)
     left, right, gcd = product.subgroup_intersections()
     assert (left, right, gcd) == (120, 2, 2)
-    trivial = generate_group([qt.spin_identity()], cap=4)
+    trivial = generate_group([spin_left(qt.quat_one())], cap=4)
     assert trivial.subgroup_intersections() == (1, 1, 1)
     diagonal = generate_group(
         [qt.Spin4Element(qt.circle_quaternion(1, 3), qt.circle_quaternion(1, 3))],
@@ -251,7 +252,7 @@ def test_factor_closures_skip_identity_and_repeated_factors(monkeypatch):
     assert calls == [2, 2]
     # the element-level closure of the same generators is the oracle
     lifted = [g.lift(36) for g in gens]
-    oracle = generate(FiniteGroup, qt.spin_identity().lift(36), lifted, 10_000)
+    oracle = generate(FiniteGroup, spin_left(qt.quat_one()).lift(36), lifted, 10_000)
     assert len(group) == 216  # the binary tetrahedral group times the 9th roots
     assert group.elements == oracle.elements
     assert (group.right, group.parent, group.gen) == (oracle.right, oracle.parent, oracle.gen)

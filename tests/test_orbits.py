@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -213,6 +214,20 @@ def test_profile_distance_round_sphere_exact_cases():
     assert ob.profile_distance(prof, (0.2, 0.0), (0.3, math.pi)) == pytest.approx(
         0.5, abs=1e-6
     )
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-9, -3e-9, 1e-6, 1e-4, -1e-4])
+def test_profile_distance_along_the_peak_parallel(delta):
+    # no Clairaut bracket forms for two points on one parallel at the peak of
+    # f; the route through a pole (pi/2) used to win over the parallel (0.5)
+    act = ob.WeightedAction(1, 1)
+    t = math.pi / 4 + delta
+    p = (complex(math.cos(t)), complex(math.sin(t)))
+    q = (math.cos(t) * cmath.exp(1j), complex(math.sin(t)))
+    a, b = ob.quotient_coordinates(act, p), ob.quotient_coordinates(act, q)
+    assert abs(a[1] - b[1]) == pytest.approx(1.0)
+    distance = ob.profile_distance(ob.profile(act), a, b)
+    assert distance == pytest.approx(ob.orbit_distance(act, p, q), abs=1e-8)
 
 
 @pytest.mark.parametrize("weights", [(1, 1), (2, 1), (3, 2)])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from spherecover import analyzer as an
@@ -6,6 +8,8 @@ from spherecover import presentations as pr
 from spherecover.config import packaged_corpus_text
 from spherecover.errors import InternalInconsistency, NotIndexTwo, ValidationError
 from spherecover.linalg import cokernel
+
+import tc_oracle
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -204,19 +208,22 @@ def test_todd_coxeter_torus_3_7_orbifold_inconclusive():
 
 
 def test_coset_cap_counts_peak_live_cosets(monkeypatch):
-    # S4 = <a, b | a^2, b^3, (ab)^4> peaks at 26 live cosets on its way to 24
+    # S4 = <a, b | a^2, b^3, (ab)^4> peaks at 26 live cosets on its way to 24.
+    # Live cosets only grow between coincidences, so the peak is the larger
+    # of the live counts on entry to each coincidence and the final order.
     pres = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2) * 4])
-    define = pr._Enumerator._define
-    peak = [1]
+    coincidence = pr._Enumerator._coincidence
+    samples = []
 
-    def tracked(self, alpha, x):
-        define(self, alpha, x)
-        peak[0] = max(peak[0], self.n_live)
+    def sampled(self, a, b):
+        samples.append(len(self.p) - self.dead)
+        coincidence(self, a, b)
 
-    monkeypatch.setattr(pr._Enumerator, "_define", tracked)
-    assert pr.todd_coxeter(pres, 10_000).order == 24
+    monkeypatch.setattr(pr._Enumerator, "_coincidence", sampled)
+    out = pr.todd_coxeter(pres, 10_000)
     monkeypatch.undo()
-    assert peak[0] == 26
+    assert out.order == 24
+    assert max(samples + [out.order]) == 26
     assert pr.todd_coxeter(pres, 26).order == 24
     below = pr.todd_coxeter(pres, 25)
     assert below.finite is False
@@ -323,6 +330,68 @@ def test_todd_coxeter_vs_naive_word_enumeration(name, ngens, rels, max_len, expe
     naive = naive_group_order(ngens, rels, max_len)
     assert tc.finite
     assert tc.order == naive == expected
+
+
+def random_presentation(rng, ngens, squares):
+    """1-3 random relators of length 1-8, plus squares of some generators."""
+    letters = list(range(1, ngens + 1)) + [-g for g in range(1, ngens + 1)]
+    relators = [
+        tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    if squares:
+        squared = [g for g in range(1, ngens + 1) if rng.random() < 0.5] or [1]
+        relators += [(g, g) if rng.random() < 0.5 else (-g, -g) for g in squared]
+    return pr.GroupPresentation.make(ngens, relators)
+
+
+ORACLE_KNOTS = [
+    (lambda: kn.braid_to_diagram(kn.torus_knot(3, 4)), 10_000),
+    (lambda: kn.braid_to_diagram(kn.torus_knot(3, 5)), 10_000),
+    (lambda: kn.two_bridge(7, 3), 10_000),
+    (lambda: kn.braid_to_diagram(kn.torus_knot(3, 7)), 5000),
+    (lambda: kn.montesinos(0, [(1, 3), (1, 5), (1, 7)]), 5000),
+]
+
+
+@pytest.mark.parametrize("factory,cap", ORACLE_KNOTS, ids=["T34", "T35", "b7_3", "T37", "P357"])
+def test_flat_table_matches_the_oracle_on_knot_orbifolds(factory, cap):
+    wirt = pr.wirtinger(factory())
+    for orb in (pr.orbifold_quotient(pr.bridge_presentation(wirt)), pr.orbifold_quotient(wirt)):
+        assert pr.todd_coxeter(orb, cap) == tc_oracle.todd_coxeter(orb, cap)
+
+
+def test_flat_table_matches_the_oracle_on_the_test_presentations():
+    fig8 = kn.braid_to_diagram(kn.parse_braid("strands=3 1 -2 1 -2"))
+    cases = [(pr.GroupPresentation.make(n, rels), 10_000) for _, n, rels, _, _ in NAIVE_CASES]
+    cases += [
+        (pr.GroupPresentation.make(2, [(1, 1), (2, 2), (1, 2, 1, 2, 1, 2)]), 100),
+        (pr.GroupPresentation.make(1, [(1,) * 5]), 100),
+        (pr.GroupPresentation.make(2, []), 1000),
+        (pr.GroupPresentation.make(2, [(1, 1, 1), (2, 2), (1, 2, 1, 2)]), 1000),
+        (pr.GroupPresentation.make(1, [(1, 1, 1)]), 10),
+        (pr.GroupPresentation.make(0, []), 10),
+        (pr.orbifold_quotient(pr.wirtinger(kn.parse_pd("[]"))), 10),
+        (pr.orbifold_quotient(pr.wirtinger(kn.parse_pd(TREFOIL_PD))), 100),
+        (pr.orbifold_quotient(pr.wirtinger(fig8)), 100),
+        (hurwitz_orbifold(kn.torus_knot(3, 4)), 10_000),
+        (hurwitz_orbifold(kn.torus_knot(3, 5)), 10_000),
+    ]
+    s4 = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2) * 4])
+    cases += [(s4, cap) for cap in (10_000, 26, 25, 1)]
+    for pres, cap in cases:
+        assert pr.todd_coxeter(pres, cap) == tc_oracle.todd_coxeter(pres, cap), pres.text()
+
+
+@pytest.mark.parametrize("ngens", [1, 2, 3])
+@pytest.mark.parametrize("squares", [False, True], ids=["no-squares", "squares"])
+def test_flat_table_matches_the_oracle_on_random_presentations(ngens, squares):
+    rng = random.Random(1000 * ngens + squares)
+    for _ in range(40):
+        pres = random_presentation(rng, ngens, squares)
+        for cap in (50, 500, 5000):
+            ours = pr.todd_coxeter(pres, cap)
+            assert ours == tc_oracle.todd_coxeter(pres, cap), (pres.text(), cap)
 
 
 # -- branched cover extraction -----------------------------------------------------

@@ -105,7 +105,7 @@ def test_rotation_class_sign_normalization():
 
 
 def test_fixed_set_identity_all():
-    assert qt.fixed_set(qt.RotationClass(qt.spin_identity())).kind == "all"
+    assert qt.fixed_set(qt.RotationClass(qt.Spin4Element(qt.quat_one(), qt.quat_one()))).kind == "all"
 
 
 def test_fixed_set_conjugation_circle():

@@ -86,7 +86,7 @@ def test_uniqueness_scan_cyclic():
 def test_uniqueness_scan_rejects_identity():
     cert = sf.build(sf.SpaceFormSpec(sf.CYCLIC, m=3, p=1))
     sf.verify(cert)
-    ident = qt.RotationClass(qt.spin_identity()).lift(cert.conductor)
+    ident = qt.RotationClass(qt.Spin4Element(qt.quat_one(), qt.quat_one())).lift(cert.conductor)
     with pytest.raises(SpecViolation):
         sf.involution_uniqueness_scan(cert, candidates=[ident])
 
