@@ -207,8 +207,13 @@ class ExactScalar:
     def _canon_key(self):
         """Reduced (denominator, ((exp, num), ...)) form; unique per value."""
         if self._canon is None:
-            vec = self._canonical_vector(_context(self.conductor))
-            pairs = [(i, v) for i, v in enumerate(vec) if v]
+            num = self._num
+            ctx = _context(self.conductor)
+            if not num or max(num) < ctx.degree:
+                pairs = sorted(num.items())  # already in the reduced basis
+            else:
+                vec = self._canonical_vector(ctx)
+                pairs = [(i, v) for i, v in enumerate(vec) if v]
             d = self._den
             g = d
             for _, v in pairs:
@@ -376,6 +381,8 @@ class ExactScalar:
     # -- comparisons and embedding ------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, ExactScalar) and other.conductor == self.conductor:
+            return self._canon_key() == other._canon_key()
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -511,14 +518,6 @@ def sqrt2():
     return scalar_make(8, {1: 1, 7: 1})
 
 
-def sqrt3():
-    return scalar_make(12, {1: 1, 11: 1})
-
-
-def sqrt5():
-    return scalar_make(5, {0: 1, 1: 2, 4: 2})
-
-
 def golden_ratio():
     """(1 + sqrt(5)) / 2, equal to 1 + zeta_5 + zeta_5^4."""
     return scalar_make(5, {0: 1, 1: 1, 4: 1})
@@ -530,15 +529,20 @@ def product_sum(terms):
     Every product's numerators go straight into one exponent -> numerator
     map over the terms' common denominator, and the sum is reduced once,
     so no scalar is made per product or per partial sum.  Operands at
-    different conductors are lifted to their lcm first.
+    different conductors are lifted to their lcm first; a term with a zero
+    operand adds nothing and is skipped.
     """
-    n = 1
-    for _, a, b in terms:
-        n = math.lcm(n, a.conductor, b.conductor)
-    terms = [(sign, a.lift(n), b.lift(n)) for sign, a, b in terms]
-    den = math.lcm(*[a._den * b._den for _, a, b in terms])
+    n = terms[0][1].conductor if terms else 1
+    live = []
+    for sign, a, b in terms:
+        if a.conductor != n or b.conductor != n:
+            n = math.lcm(*(x.conductor for t in terms for x in t[1:]))
+            return product_sum([(s, x.lift(n), y.lift(n)) for s, x, y in terms])
+        if a._num and b._num:
+            live.append((sign, a._num, b._num, a._den * b._den))
+    den = math.lcm(*[d for _, _, _, d in live])
     half = _context(n).half
     num = {}
-    for sign, a, b in terms:
-        _accumulate(num, n, half, sign * (den // (a._den * b._den)), a._num, b._num)
+    for sign, anum, bnum, d in live:
+        _accumulate(num, n, half, sign * (den // d), anum, bnum)
     return ExactScalar._make(n, num, den)

@@ -298,9 +298,6 @@ class FiniteGroup:
                 break
         return series
 
-    def is_perfect(self):
-        return len(self.derived_subgroup()) == len(self)
-
     def abelianization(self):
         """G/[G,G] as the cokernel of the Schreier relators of the Cayley graph.
 
@@ -391,23 +388,29 @@ class FiniteRotationGroup(FiniteGroup):
         """Image in SO(4): each element is paired with its product by -1.
 
         Classes keep the order of their first member, and the table and
-        tree are the Spin-level ones read through the pairing.
+        tree are the Spin-level ones read through the pairing.  Each class's
+        representative is picked from the pair {x, -x} of group elements,
+        so no scalar is negated and every canonical key is already cached.
         """
         if self.ambient == "so4":
             return self
-        minus = self.index.get(-self.elements[self.identity_idx])
+        m = qt.quat(-1, check=False).lift(self.elements[self.identity_idx].conductor())
+        minus = self.index.get(qt.Spin4Element(m, m))  # -1, made with no negation
         image = [None] * len(self)
         reps = []
         for x in range(len(self)):
             if image[x] is None:
                 image[x] = len(reps)
+                partner = None
                 if minus is not None:
-                    image[self.imul(x, minus)] = len(reps)
-                reps.append(x)
-        right = [[image[col[x]] for x in reps] for col in self.right]
-        parent = [-1] + [image[self.parent[x]] for x in reps[1:]]
-        gen = [-1] + [self.gen[x] for x in reps[1:]]
-        elements = [qt.RotationClass(self.elements[x]) for x in reps]
+                    y = self.imul(x, minus)
+                    image[y] = len(reps)
+                    partner = self.elements[y]
+                reps.append((x, partner))
+        right = [[image[col[x]] for x, _ in reps] for col in self.right]
+        parent = [-1] + [image[self.parent[x]] for x, _ in reps[1:]]
+        gen = [-1] + [self.gen[x] for x, _ in reps[1:]]
+        elements = [qt.RotationClass(self.elements[x], partner) for x, partner in reps]
         return FiniteRotationGroup(elements, right, parent, gen)
 
     def acts_freely(self):

@@ -196,21 +196,23 @@ class RotationClass:
     The stored representative flips signs so that the first coordinate of
     the left factor with nonzero canonical form is positive (the left
     factor of a unit pair always has one, so the right factor is only a
-    defensive fallback).
+    defensive fallback).  A caller that already holds ``-element`` passes
+    it as ``partner``, and the representative is then picked from the pair
+    with no negation made.
     """
 
     __slots__ = ("rep", "_hash")
 
-    def __init__(self, element):
-        self.rep = self._normalize(element)
+    def __init__(self, element, partner=None):
+        self.rep = self._normalize(element, partner)
         self._hash = None
 
     @staticmethod
-    def _normalize(element):
+    def _normalize(element, partner):
         for scalar in element.left.coords + element.right.coords:
             s = scalar.sign()
             if s < 0:
-                return -element
+                return -element if partner is None else partner
             if s > 0:
                 return element
         raise InternalInconsistency("sign-normalizing a zero pair")

@@ -4,9 +4,19 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecover import cyclotomic as cy
 from spherecover.errors import DivisionByZero, InvalidArgument, NotReal, SphereCoverError
+
+
+def sqrt3():
+    return cy.scalar_make(12, {1: 1, 11: 1})
+
+
+def sqrt5():
+    return cy.scalar_make(5, {0: 1, 1: 2, 4: 2})
 
 
 def test_make_sqrt2_squares_to_two():
@@ -45,7 +55,7 @@ def test_inverse_roundtrip():
 
 def test_cos_two_pi_fifth_closed_form():
     lhs = cy.cos_tau(1, 5)
-    rhs = (cy.sqrt5() - 1) * Fraction(1, 4)
+    rhs = (sqrt5() - 1) * Fraction(1, 4)
     assert lhs == rhs
 
 
@@ -72,8 +82,8 @@ def test_sign_fallback_uses_its_own_interval_context(monkeypatch):
 def test_to_float_named_constants():
     named = [
         (cy.sqrt2(), math.sqrt(2)),
-        (cy.sqrt3(), math.sqrt(3)),
-        (cy.sqrt5(), math.sqrt(5)),
+        (sqrt3(), math.sqrt(3)),
+        (sqrt5(), math.sqrt(5)),
         (cy.golden_ratio(), (1 + math.sqrt(5)) / 2),
     ]
     for n in (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60, 120):
@@ -105,7 +115,7 @@ def test_field_axioms_on_random_pairs():
 
 
 def test_mixed_conductor_lifts_to_lcm():
-    s6 = cy.sqrt2() * cy.sqrt3()
+    s6 = cy.sqrt2() * sqrt3()
     assert s6.conductor == 24
     assert abs(s6.to_float() - math.sqrt(6)) < 1e-13
     assert (s6 * s6).as_rational() == 6
@@ -120,14 +130,14 @@ def test_lift_preserves_value_and_equality():
 
 def test_eager_canonical_forms_make_hashing_stable():
     a = cy.cos_tau(1, 5)
-    b = (cy.sqrt5() - 1) * Fraction(1, 4)
+    b = (sqrt5() - 1) * Fraction(1, 4)
     assert hash(a.lift(5)) == hash(b.lift(5))
 
 
 def test_comparisons_use_real_embedding():
     assert cy.cos_tau(1, 5) > cy.cos_tau(1, 4)
     assert cy.cos_tau(2, 5) < cy.cos_tau(1, 5)
-    assert cy.sqrt2() < cy.sqrt3() < cy.sqrt5()
+    assert cy.sqrt2() < sqrt3() < sqrt5()
 
 
 def test_powers():
@@ -212,7 +222,7 @@ def test_lift_folds_scaled_exponents_and_keeps_the_value(old, new):
         (12, {-5: Fraction(3, 4), 5: Fraction(3, 4), 3: 0}, lambda: Fraction(3, 2) * cy.cos_tau(5, 12)),
         (12, {0: Fraction(1, 2), -12: 2, 24: Fraction(-1, 3)}, lambda: cy.rational(Fraction(13, 6), 12)),
         (8, {7: 1, -7: 1, 9: Fraction(1, 2), -9: Fraction(1, 2), 4: 0, -4: 1}, lambda: 3 * cy.cos_tau(1, 8) - 1),
-        (5, {-1: 2, 1: 2, 0: 1}, lambda: cy.sqrt5()),
+        (5, {-1: 2, 1: 2, 0: 1}, lambda: sqrt5()),
         (6, {1: 1, 5: 1, 2: 0, -2: Fraction(0, 7)}, lambda: cy.one(6)),
         (7, {3: 0}, lambda: cy.zero(7)),
     ],
@@ -224,3 +234,97 @@ def test_constructor_matches_rational_and_cos_tau_arithmetic(conductor, terms, e
     assert x == want and hash(x) == hash(want.lift(conductor))
     assert x._canon_key() == want.lift(conductor)._canon_key()
     assert abs(x.to_float() - _embedding(conductor, terms)) < 1e-12
+
+
+# -- sparse canonical keys, one-conductor product sums, same-conductor equality --
+
+CONDUCTORS = (5, 7, 8, 12, 15, 20, 24, 56, 60, 72)
+
+
+@st.composite
+def sparse_scalars(draw, conductor=None):
+    """A scalar with at most four terms, kept as drawn (no canonical rewrite).
+
+    Half of the draws put one exponent in ``[degree, half)``, where the key
+    needs reducing; at conductor 8 that range is empty.
+    """
+    n = draw(st.sampled_from(CONDUCTORS)) if conductor is None else conductor
+    ctx = cy._context(n)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = draw(st.dictionaries(st.integers(0, ctx.degree - 1), coeff, max_size=3))
+    if ctx.half > ctx.degree and draw(st.booleans()):
+        terms[draw(st.integers(ctx.degree, ctx.half - 1))] = draw(coeff.filter(bool))
+    return cy.ExactScalar(n, terms)
+
+
+def _dense_key(s):
+    """The canonical key as the dense reduction builds it."""
+    vec = s._canonical_vector(cy._context(s.conductor))
+    pairs = [(i, v) for i, v in enumerate(vec) if v]
+    g = math.gcd(s._den, *(v for _, v in pairs))
+    return (s._den // g, tuple((i, v // g) for i, v in pairs))
+
+
+def _lifted(s, k):
+    return s.lift(s.conductor * k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_scalars())
+def test_sparse_canonical_key_equals_the_dense_reduction(s):
+    assert all(s._num.values())  # the sparse key relies on no stored zeros
+    assert s._canon_key() == _dense_key(s)
+    twin = cy.ExactScalar._make(s.conductor, dict(s._num), s._den)
+    assert hash(twin) == hash(s) and twin == s
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONDUCTORS).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.sampled_from((1, -1)), sparse_scalars(n), sparse_scalars(n)), max_size=4),
+    st.lists(st.sampled_from((1, 2, 3)), min_size=8, max_size=8),
+)))
+def test_one_conductor_product_sum_matches_mixed_and_composed(case):
+    terms, ks = case
+    n = terms[0][1].conductor if terms else 1
+    fused = cy.product_sum(terms)
+    assert fused.conductor == n
+    composed = cy.zero(n)
+    for sign, a, b in terms:
+        composed = composed + sign * (a * b)
+    assert fused._canon_key() == composed._canon_key()
+    mixed_terms = [
+        (sign, _lifted(a, ks[2 * i % 8]), _lifted(b, ks[(2 * i + 1) % 8]))
+        for i, (sign, a, b) in enumerate(terms)
+    ]
+    mixed = cy.product_sum(mixed_terms)
+    assert mixed == fused and fused == mixed
+    assert mixed._canon_key() == fused.lift(mixed.conductor)._canon_key()
+
+
+@given(st.sampled_from(CONDUCTORS))
+def test_product_sum_of_nothing_or_zero_operands_is_zero(n):
+    empty = cy.product_sum([])
+    assert empty.conductor == 1 and empty.is_zero() and empty._canon_key() == (1, ())
+    x = cy.cos_tau(1, n)
+    zeros = cy.product_sum([(1, x, cy.zero(n)), (-1, cy.zero(n), x)])
+    assert zeros.conductor == n and zeros._canon_key() == (1, ()) and zeros == 0
+    assert cy.product_sum([(1, x, x), (1, cy.zero(n), x)]) == x * x
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_scalars(), sparse_scalars(), st.sampled_from((2, 3, 7)))
+def test_equality_compares_keys_at_one_conductor_and_lifts_across(a, b, k):
+    if a.conductor == b.conductor:
+        assert (a == b) == (a._canon_key() == b._canon_key())
+    up = _lifted(a, k)
+    assert up == a and a == up
+    assert (up == b) == (a - b).is_zero()
+    assert not (up == a + 1) and a + 1 != up
+
+
+def test_equality_across_conductors_lifts():
+    s = cy.sqrt2()
+    assert s == s.lift(56) and s.lift(56) == s
+    assert s != s.lift(56) + 1
+    assert s.lift(56) != cy.cos_tau(1, 7)
+    assert cy.one(8) == 1 and cy.one(56) == Fraction(1) and cy.one(8) == cy.one(56)

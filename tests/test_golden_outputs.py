@@ -1,0 +1,45 @@
+"""Byte-for-byte guard on space-form CLI output.
+
+The files under ``tests/data/`` hold the stdout of ``python -m
+spherecover.cli`` as the plain exact arithmetic printed it, before its
+fast paths: sparse canonical keys, one-conductor ``product_sum``,
+same-conductor ``==``, and SO(4) representatives read from the Spin
+pair.  No fast path may change a printed byte or an exit code.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from spherecover.config import ENV_CONFIG
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+@pytest.mark.parametrize(
+    "argv, golden, code",
+    [
+        (["spaceform", "sweep"], "spaceform_sweep.txt", 0),
+        (["spaceform", "sweep", "--format", "json"], "spaceform_sweep.json", 0),
+        (["spaceform", "verify", "icosahedral", "--m", "1"], "spaceform_verify_icosahedral_1.txt", 0),
+        (
+            ["spaceform", "verify", "tetrahedral", "--m", "7", "--k", "2"],
+            "spaceform_verify_tetrahedral_7_2.txt",
+            0,
+        ),
+    ],
+    ids=["sweep-table", "sweep-json", "verify-icosahedral-1", "verify-tetrahedral-7-2"],
+)
+def test_spaceform_output_is_byte_identical(argv, golden, code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop(ENV_CONFIG, None)  # the default config, whatever the caller's shell sets
+    done = subprocess.run(
+        [sys.executable, "-m", "spherecover.cli", *argv], env=env, capture_output=True
+    )
+    with open(os.path.join(TESTS, "data", golden), "rb") as fh:
+        expected = fh.read()
+    assert done.returncode == code, done.stderr.decode(errors="replace")
+    assert done.stdout == expected

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spherecover import cyclotomic as cy
 from spherecover import quaternions as qt
 from spherecover import spaceforms as sf
 from spherecover.errors import (
@@ -85,7 +86,7 @@ def test_cyclic_group_abelianization():
 
 def test_binary_icosahedral_order_and_perfection(icosa):
     assert icosa.order == 120
-    assert icosa.is_perfect()
+    assert len(icosa.derived_subgroup()) == len(icosa)  # perfect
     assert icosa.abelianization().is_trivial()
     series = icosa.derived_series()
     assert len(series[-1]) == 120  # stabilizes at the whole group
@@ -256,3 +257,31 @@ def test_factor_closures_skip_identity_and_repeated_factors(monkeypatch):
     assert len(group) == 216  # the binary tetrahedral group times the 9th roots
     assert group.elements == oracle.elements
     assert (group.right, group.parent, group.gen) == (oracle.right, oracle.parent, oracle.gen)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sf.SpaceFormSpec(sf.TETRAHEDRAL, m=7, k=0), sf.SpaceFormSpec(sf.ICOSAHEDRAL, m=1)],
+    ids=["tetrahedral-7-0", "icosahedral-1"],
+)
+def test_to_so4_reads_each_rep_from_the_pair(monkeypatch, spec):
+    gamma_hat = sf.build(spec).gamma_hat
+    negations = []
+    neg = cy.ExactScalar.__neg__
+
+    def counting(self):
+        negations.append(self)
+        return neg(self)
+
+    monkeypatch.setattr(cy.ExactScalar, "__neg__", counting)
+    gamma = gamma_hat.to_so4()
+    assert negations == []  # every rep is an element of gamma_hat, none is made
+    monkeypatch.undo()
+    assert 2 * len(gamma) == len(gamma_hat)
+    for cls in gamma.elements:
+        first = min(gamma_hat.index[cls.rep], gamma_hat.index[-cls.rep])
+        oracle = qt.RotationClass(gamma_hat.elements[first])
+        assert cls.rep == oracle.rep and cls == oracle
+        assert hash(cls.rep) == hash(oracle.rep) and hash(cls) == hash(oracle)
+    firsts = [min(gamma_hat.index[c.rep], gamma_hat.index[-c.rep]) for c in gamma.elements]
+    assert firsts == sorted(firsts)  # classes keep the order of their first member
