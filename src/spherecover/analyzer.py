@@ -78,16 +78,18 @@ class CoverReport:
         return rec
 
 
-def classify_finite(group):
-    """Place a finite cover group into the cyclic/tetrahedral/icosahedral trichotomy."""
+def classify_finite(group, abelianization):
+    """Place a finite cover group into the cyclic/tetrahedral/icosahedral trichotomy.
+
+    ``abelianization`` is the group's own, computed once by the caller.
+    """
     series = group.derived_series()
     sizes = [len(s) for s in series]
     if sizes[-1] == 1:
         if len(sizes) == 2:  # derived subgroup already trivial: abelian
-            ab = group.abelianization()
-            if len(ab.torsion) > 1:
+            if len(abelianization.torsion) > 1:
                 raise InternalInconsistency(
-                    f"abelian cover group is not cyclic: {ab}"
+                    f"abelian cover group is not cyclic: {abelianization}"
                 )
             return CYCLIC, group.order
         return TETRAHEDRAL, None  # solvable and non-abelian
@@ -135,7 +137,7 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
         if cover_order == 1:
             report.classification = UNKNOT
         else:
-            label, cyc = classify_finite(cover)
+            label, cyc = classify_finite(cover, cover_ab)
             report.classification = label
             report.cyclic_order = cyc
         report.trichotomy_consistent = cover_order != 2 and (

@@ -129,17 +129,6 @@ class FiniteGroup:
         elements = [self.elements[x] for x in sub.elements]
         return type(self)(elements, sub.right, sub.parent, sub.gen)
 
-    def subgroup(self, idxs):
-        """The subgroup generated by ``idxs`` as a group in its own right.
-
-        Only the generators that enlarge the closure are kept; the new
-        group's elements are their indices in this one.
-        """
-        _, kept = self._closure_incremental(idxs)
-        return FiniteGroup.closure(
-            self.identity_idx, len(kept), lambda x, s: self.imul(x, kept[s]), len(self)
-        )
-
     # -- index arithmetic ---------------------------------------------------
 
     def __len__(self):

@@ -19,8 +19,11 @@ The double-branched-cover group of a knot is the index-2 kernel of the
 meridian parity map on the orbifold quotient (knot group modulo meridian
 squares).  The knot group enters through its Wirtinger presentation,
 Tietze-reduced by ``bridge_presentation`` to a few arc generators, all of
-them meridians.  A completed table is the right Cayley table of the orbifold
-group, so the kernel is closed straight from it, on integers.
+them meridians.  A completed table is the right regular action of the
+orbifold group, so the kernel is read off it alone: each Schreier generator
+g t^-1 or t g acts on cosets as the composition of two table columns, and
+the kernel is closed on those integer maps.  No product in the orbifold
+group is ever formed.
 """
 
 from __future__ import annotations
@@ -384,13 +387,21 @@ class _Enumerator:
 
     def _complete(self):
         """Renumber the live cosets 0..n-1 in order, then certify the table."""
-        n = self.ncols
-        live = [c for c, r in enumerate(self.p) if r == c]
-        index = {old: new for new, old in enumerate(live)}
+        n, p, table = self.ncols, self.p, self.table
+        live = [c for c, r in enumerate(p) if r == c]
+        # index[c] is the new number of c's live representative; the extra
+        # last slot is index[-1 // n], so an empty entry stays -1
+        index = [-1] * (len(p) + 1)
+        for new, old in enumerate(live):
+            index[old] = new
+        for c, r in enumerate(p):
+            if r != c:
+                index[c] = index[self.rep(c)]
+        rows = [old * n for old in live]
         perms = []
         for g in range(1, self.ngens + 1):
-            entries = (self.table[old * n + self.col[g]] for old in live)
-            perms.append(tuple(index[self.rep(v // n)] if v != -1 else -1 for v in entries))
+            col = self.col[g]
+            perms.append(tuple([index[table[row + col] // n] for row in rows]))
         table = CosetTable(self.cap, len(live), tuple(perms))
         if not certify_table(table, self.relators):
             raise InternalInconsistency("completed coset table fails its certificate")
@@ -398,39 +409,47 @@ class _Enumerator:
 
 
 def certify_table(table, relators):
-    """Closed-table certificate: bijectivity, transitivity, relator identity."""
-    if not table.finite:
+    """Closed-table certificate: bijectivity, transitivity, relator identity.
+
+    Each column must be a permutation of 0..n-1: of length n, every entry
+    in range, no entry repeated.  Every relator is traced from all cosets
+    at once, one letter at a time.
+    """
+    if not table.finite or table.order < 1:
         return False
     n = table.order
     perms = table.perms
     inv = []
     for perm in perms:
-        if sorted(perm) != list(range(n)):
+        if len(perm) != n or min(perm) < 0 or max(perm) >= n:
             return False
-        ip = [0] * n
+        ip = [-1] * n
         for i, v in enumerate(perm):
             ip[v] = i
-        inv.append(tuple(ip))
-    # transitivity from coset 0
-    seen = {0}
-    frontier = [0]
-    both = list(perms) + inv
-    while frontier:
-        c = frontier.pop()
-        for perm in both:
+        if -1 in ip:  # n entries in range miss a value only if one repeats
+            return False
+        inv.append(ip)
+    # transitivity from coset 0; a permutation's inverse is one of its
+    # powers, so the columns alone reach the whole orbit
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    for c in reached:
+        for perm in perms:
             d = perm[c]
-            if d not in seen:
-                seen.add(d)
-                frontier.append(d)
-    if len(seen) != n:
+            if not seen[d]:
+                seen[d] = True
+                reached.append(d)
+    if len(reached) != n:
         return False
+    cosets = list(range(n))
     for rel in relators:
-        for start in range(n):
-            c = start
-            for letter in rel:
-                c = perms[letter - 1][c] if letter > 0 else inv[-letter - 1][c]
-            if c != start:
-                return False
+        ends = cosets
+        for letter in rel:
+            step = perms[letter - 1] if letter > 0 else inv[-letter - 1]
+            ends = [step[c] for c in ends]
+        if ends != cosets:
+            return False
     return True
 
 
@@ -444,48 +463,62 @@ def todd_coxeter(pres, cap=DEFAULT_COSET_CAP):
 # -- groups read off coset tables -----------------------------------------------------
 
 
-def regular_group(table):
-    """The enumerated group itself: a completed table is its right Cayley table."""
-    if not table.finite:
+def branched_cover_group(outcome):
+    """Index-2 kernel of the meridian parity map, closed on the coset table.
+
+    Returns (order, FiniteGroup).  Cosets are colored by parity along a
+    breadth-first search, and every column must swap the colors.  The
+    kernel is generated by the Schreier elements g * t^-1 and t * g over
+    the transversal {identity, t}, with t the first generator.  A
+    completed table is the regular action, so a Schreier element acts on
+    cosets as the composition of two columns, and the coset it takes 0 to
+    names it.  They are taken in search order, the order in which closure
+    on the table finds the elements of the orbifold group; those that
+    enlarge the kernel are kept, and the kernel is closed on their
+    actions.  Its elements are cosets, and x * k is the action of k on x.
+    """
+    if not outcome.finite:
         raise ValidationError("a group needs a completed enumeration")
-    perms = table.perms
-    return FiniteGroup.closure(0, len(perms), lambda c, g: perms[g][c], table.order)
-
-
-def parity_classes(outcome):
-    """2-coloring of cosets by meridian parity; None when not bipartite."""
-    n = outcome.order
-    perms = outcome.perms
+    n, perms = outcome.order, outcome.perms
     color = [-1] * n
     color[0] = 0
-    frontier = [0]
-    while frontier:
-        c = frontier.pop()
+    order = [0]
+    for c in order:
+        flip = color[c] ^ 1
         for perm in perms:
             d = perm[c]
             if color[d] == -1:
-                color[d] = color[c] ^ 1
-                frontier.append(d)
-            elif color[d] != color[c] ^ 1:
-                return None
-    return color
-
-
-def branched_cover_group(outcome):
-    """Index-2 kernel of the meridian parity map, closed on integers.
-
-    Returns (order, FiniteGroup).  The kernel is generated by the Schreier
-    elements g * t^-1 and t * g over the transversal {identity, t}, with t
-    the first generator; only those that enlarge it are kept.
-    """
-    group = regular_group(outcome)
-    if parity_classes(outcome) is None:
+                color[d] = flip
+                order.append(d)
+    flipped = [c ^ 1 for c in color]
+    if not perms or any([color[d] for d in perm] != flipped for perm in perms):
         raise NotIndexTwo("meridian parity map is not onto Z/2")
-    gens = group.gens_idx
-    t = gens[0]
-    t_inv = group.iinv(t)
-    schreier = [x for g in gens for x in (group.imul(g, t_inv), group.imul(t, g))]
-    kernel = group.subgroup(schreier)
-    if 2 * len(kernel) != len(group):
+    t = perms[0]
+    tinv = [0] * n
+    for x, y in enumerate(t):
+        tinv[y] = x
+    actions = {}
+    for g in perms:
+        for action in ([tinv[y] for y in g], [g[y] for y in t]):
+            actions.setdefault(action[0], action)
+    members = [False] * n
+    members[0] = True
+    found = [0]
+    kept = []
+    for k in sorted(actions, key=order.index):
+        if members[k]:
+            continue
+        kept.append(actions[k])
+        queue = list(found)
+        while queue:
+            x = queue.pop()
+            for action in kept:
+                y = action[x]
+                if not members[y]:
+                    members[y] = True
+                    found.append(y)
+                    queue.append(y)
+    kernel = FiniteGroup.closure(0, len(kept), lambda x, s: kept[s][x], n)
+    if 2 * len(kernel) != n:
         raise InternalInconsistency("parity kernel must have index two")
     return len(kernel), kernel

@@ -247,44 +247,6 @@ def verify(cert):
     return checks
 
 
-def involution_uniqueness_scan(cert, candidates=None):
-    """Partition involutions of the extension with circle fixed sets by conjugacy.
-
-    Candidates default to every element of Gamma minus Pi that squares to
-    the identity and fixes a circle.  A single part is the uniqueness
-    statement for the branch involution.
-    """
-    gamma = cert.gamma
-    if candidates is None:
-        # Pi is normal in Gamma, so each condition holds for a whole class or none of it
-        return [
-            [gamma.elements[i] for i in cls]
-            for cls in gamma.conjugacy_classes()
-            if cls[0] != gamma.identity_idx
-            and gamma.elements[cls[0]] not in cert.pi
-            and gamma.imul(cls[0], cls[0]) == gamma.identity_idx
-            and _class_fixed_set(gamma, cls).kind == "circle"
-        ]
-    for e in candidates:
-        if e not in gamma.index:
-            raise SpecViolation(f"candidate {e!r} is not in the extension")
-        if not (e * e).is_identity() or qt.fixed_set(e).kind != "circle":
-            raise SpecViolation(f"candidate {e!r} is not a circle-fixing involution")
-    wanted = set(candidates)
-    parts = []
-    assigned = {}
-    for e in candidates:
-        idx = gamma.index[e]
-        if idx in assigned:
-            continue
-        cls = gamma.conjugacy_class(idx)
-        members = [gamma.elements[i] for i in cls if gamma.elements[i] in wanted]
-        for i in cls:
-            assigned[i] = len(parts)
-        parts.append(members)
-    return parts
-
-
 def _class_fixed_set(gamma, cls):
     """Exact fixed set of a class's least member; fixed-point dimension is a class function.
 

