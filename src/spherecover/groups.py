@@ -9,9 +9,10 @@ in one pass, made on first use, so products, conjugation, conjugacy
 classes, normal closures, derived series and abelianizations run on
 integers only.  The same engine drives quaternionic rotation groups and
 the groups read off coset tables.  A rotation group multiplies exact
-quaternions only while closing its two factor projections; the group
-itself closes on pairs of factor indices, and its elements then serve
-geometry and membership lookups.
+quaternions only while closing its two factor projections, coset by coset
+of a cyclic subgroup, with one product per element and per coset edge;
+the group itself closes on pairs of factor indices, and its elements then
+serve geometry and membership lookups.
 """
 
 from __future__ import annotations
@@ -107,7 +108,12 @@ class FiniteGroup:
 
     @classmethod
     def generate(cls, identity, gens, cap=DEFAULT_GROUP_CAP):
-        """Breadth-first closure of the generators under exact multiplication."""
+        """Breadth-first closure of the generators under exact multiplication.
+
+        It makes one product per table cell.  Rotation groups close their
+        factors by cosets instead (:func:`_coset_closure`); the tests
+        compare that closure with this one.
+        """
         if cap < 1:
             raise InvalidArgument("cap must be >= 1")
         gens = list(gens)
@@ -327,9 +333,11 @@ class FiniteRotationGroup(FiniteGroup):
         The group lies in L x R, with L and R the groups generated by the
         left and the right quaternions, neither larger than it (Goursat).
         L and R are closed exactly, each once on its distinct non-identity
-        generators; the group is then the breadth-first closure of index
-        pairs under (a, b) s = (a l_s, b r_s), read off their tables, in
-        the order element-level closure would find it.
+        generators and coset by coset of a cyclic subgroup, so the rest of
+        their tables is integer arithmetic; the group is then the
+        breadth-first closure of index pairs under (a, b) s = (a l_s, b r_s),
+        read off those tables, in the order element-level closure would find
+        it.
         """
         gens = list(gens)
         if not gens:
@@ -348,7 +356,7 @@ class FiniteRotationGroup(FiniteGroup):
         pairs = FiniteGroup.closure(
             (0, 0), len(gens), lambda p, s: (lcols[s][p[0]], rcols[s][p[1]]), cap
         )
-        elements = [qt.Spin4Element(lq.elements[a], rq.elements[b]) for a, b in pairs.elements]
+        elements = [qt.Spin4Element(lq[a], rq[b]) for a, b in pairs.elements]
         return cls(elements, pairs.right, pairs.parent, pairs.gen)
 
     def generators(self):
@@ -438,18 +446,66 @@ class FiniteRotationGroup(FiniteGroup):
 def _factor_closure(one, quats, cap):
     """One exact closure of a factor's distinct non-identity quaternions.
 
-    Returns the group and one right column per quaternion: the identity
-    column for ``one``, and a shared column for a repeated quaternion.
+    Returns the element list and one right column per quaternion: the
+    identity column for ``one``, and a shared column for a repeated
+    quaternion.
     """
+    if cap < 1:
+        raise InvalidArgument("cap must be >= 1")
     slot = {one: None}
     distinct = []
     for q in quats:
         if q not in slot:
             slot[q] = len(distinct)
             distinct.append(q)
-    group = FiniteGroup.generate(one, distinct, cap)
-    identity = range(len(group))
-    return group, [identity if slot[q] is None else group.right[slot[q]] for q in quats]
+    elements, columns = _coset_closure(one, distinct, cap)
+    identity = range(len(elements))
+    return elements, [identity if slot[q] is None else columns[slot[q]] for q in quats]
+
+
+def _coset_closure(one, gens, cap):
+    """Dimino's closure of distinct non-identity quaternions, one coset at a time.
+
+    The group is listed as right cosets <a> r_t of the cyclic group of
+    a = gens[0]: element t * m + i is a^i r_t, with m the order of a.
+    Exact products make the powers of a, each further element of a new
+    coset as a (a^(i-1) r), and r_t q for every representative and
+    generator.  Looking r_t q = a^j r_u up in the index gives the whole
+    segment a^i r_t q = a^((i + j) mod m) r_u of q's column on integers.
+    Returns the elements and one right column per generator.
+    """
+    if not gens:
+        return [one], []
+    a = gens[0]
+    elements = [one]
+    power = a
+    while power != one:
+        if len(elements) >= cap:
+            raise CapExceeded(cap)
+        elements.append(power)
+        power = power * a
+    m = len(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    reps = [one]
+    columns = [[] for _ in gens]
+    for r in reps:
+        for q, col in zip(gens, columns):
+            p = q if r is one else r * q
+            k = index.get(p)
+            if k is None:
+                if len(elements) + m > cap:
+                    raise CapExceeded(cap)
+                k = len(elements)
+                reps.append(p)
+                coset = [p]
+                for _ in range(m - 1):
+                    coset.append(a * coset[-1])
+                index.update(zip(coset, range(k, k + m)))
+                elements.extend(coset)
+            base = k - k % m
+            col.extend(range(k, base + m))
+            col.extend(range(base, k))
+    return elements, columns
 
 
 def generate_group(gens, cap=DEFAULT_GROUP_CAP):

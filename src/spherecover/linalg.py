@@ -42,9 +42,6 @@ class AbelianGroup:
             return None
         return math.prod(self.torsion) if self.torsion else 1
 
-    def is_trivial(self):
-        return not self.torsion and not self.rank
-
     def has_two_torsion(self):
         return any(d % 2 == 0 for d in self.torsion)
 

@@ -413,14 +413,14 @@ def certify_table(table, relators):
 
     Each column must be a permutation of 0..n-1: of length n, every entry
     in range, no entry repeated.  Every relator is traced from all cosets
-    at once, one letter at a time.
+    at once, one letter at a time; a letter naming no column fails it.
     """
     if not table.finite or table.order < 1:
         return False
     n = table.order
     perms = table.perms
-    inv = []
-    for perm in perms:
+    steps = {}
+    for g, perm in enumerate(perms, 1):
         if len(perm) != n or min(perm) < 0 or max(perm) >= n:
             return False
         ip = [-1] * n
@@ -428,7 +428,7 @@ def certify_table(table, relators):
             ip[v] = i
         if -1 in ip:  # n entries in range miss a value only if one repeats
             return False
-        inv.append(ip)
+        steps[g], steps[-g] = perm, ip
     # transitivity from coset 0; a permutation's inverse is one of its
     # powers, so the columns alone reach the whole orbit
     seen = [False] * n
@@ -446,7 +446,9 @@ def certify_table(table, relators):
     for rel in relators:
         ends = cosets
         for letter in rel:
-            step = perms[letter - 1] if letter > 0 else inv[-letter - 1]
+            step = steps.get(letter)
+            if step is None:
+                return False
             ends = [step[c] for c in ends]
         if ends != cosets:
             return False

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from spherecover import cyclotomic as cy
+from spherecover import groups
 from spherecover import quaternions as qt
 from spherecover import spaceforms as sf
 from spherecover.errors import (
@@ -13,6 +15,7 @@ from spherecover.errors import (
     WrongAmbient,
 )
 from spherecover.groups import FiniteGroup, generate_group
+from spherecover.linalg import AbelianGroup
 from spherecover.spaceforms import (
     binary_icosahedral_generators,
     octahedral_extra_generator,
@@ -87,7 +90,7 @@ def test_cyclic_group_abelianization():
 def test_binary_icosahedral_order_and_perfection(icosa):
     assert icosa.order == 120
     assert len(icosa.derived_subgroup()) == len(icosa)  # perfect
-    assert icosa.abelianization().is_trivial()
+    assert icosa.abelianization() == AbelianGroup()
     series = icosa.derived_series()
     assert len(series[-1]) == 120  # stabilizes at the whole group
 
@@ -220,9 +223,17 @@ def test_lookups_happen_at_the_group_conductor():
     [
         lambda: FiniteGroup([0, 0], [], [-1, 0], [-1, 0]),
         lambda: FiniteGroup.generate(1, [1], cap=0),
+        lambda: generate_group([spin_left(qt.quat_i())], cap=0),
+        lambda: generate_group([spin_left(qt.quat_one())], cap=0),
         lambda: generate_group([]),
     ],
-    ids=["duplicate_elements", "cap_below_one", "no_generators"],
+    ids=[
+        "duplicate_elements",
+        "cap_below_one",
+        "group_cap_below_one",
+        "trivial_group_cap_below_one",
+        "no_generators",
+    ],
 )
 def test_bad_arguments_are_invalid_arguments(call):
     with pytest.raises(InvalidArgument) as info:
@@ -241,22 +252,89 @@ def test_factor_closures_skip_identity_and_repeated_factors(monkeypatch):
         qt.Spin4Element(one, zeta.inverse()),  # identity left factor
     ]
     calls = []
-    generate = FiniteGroup.generate.__func__
+    close = groups._coset_closure
 
-    def counting(cls, identity, factor_gens, cap):
+    def counting(one, factor_gens, cap):
         calls.append(len(factor_gens))
-        return generate(cls, identity, factor_gens, cap)
+        return close(one, factor_gens, cap)
 
-    monkeypatch.setattr(FiniteGroup, "generate", classmethod(counting))
+    monkeypatch.setattr(groups, "_coset_closure", counting)
     group = generate_group(gens)
     # L is closed on omega and i only, R on zeta and its inverse only
     assert calls == [2, 2]
     # the element-level closure of the same generators is the oracle
     lifted = [g.lift(36) for g in gens]
-    oracle = generate(FiniteGroup, spin_left(qt.quat_one()).lift(36), lifted, 10_000)
+    oracle = FiniteGroup.generate(spin_left(qt.quat_one()).lift(36), lifted, 10_000)
     assert len(group) == 216  # the binary tetrahedral group times the 9th roots
     assert group.elements == oracle.elements
     assert (group.right, group.parent, group.gen) == (oracle.right, oracle.parent, oracle.gen)
+
+
+def at_one_conductor(quats):
+    conductor = math.lcm(*(q.conductor for q in quats))
+    return qt.one_at(conductor), [q.lift(conductor) for q in quats]
+
+
+@pytest.mark.parametrize("spec", sf.default_sweep(), ids=sf.SpaceFormSpec.label)
+def test_coset_closure_matches_the_element_level_closure(spec):
+    gens, iota_hat = sf._build_generators(spec)
+    gens.append(iota_hat)
+    for side in ("left", "right"):
+        one, quats = at_one_conductor([getattr(g, side) for g in gens])
+        elements, columns = groups._factor_closure(one, quats, 10_000)
+        oracle = FiniteGroup.generate(one, quats, 10_000)
+        assert len(elements) == len(oracle) and set(elements) == set(oracle.elements)
+        at = [oracle.index[e] for e in elements]
+        for s, col in enumerate(columns):
+            assert [at[y] for y in col] == [oracle.right[s][x] for x in at]
+
+
+def test_coset_closure_makes_one_product_per_element_and_coset_edge(monkeypatch):
+    one, quats = at_one_conductor(binary_icosahedral_generators())
+    products = []
+    mul = qt.UnitQuaternion.__mul__
+    monkeypatch.setattr(
+        qt.UnitQuaternion, "__mul__", lambda p, q: products.append(1) or mul(p, q)
+    )
+    elements, _ = groups._factor_closure(one, quats, 120)
+    # <i> has order m = 4, so the 120 elements fill t = 30 right cosets:
+    # m - 1 products for i^2, ..., i^m = 1 and as many in each further
+    # coset, and one for each further representative and each of the k = 5
+    # generators
+    m, t, k = 4, 30, 5
+    assert len(elements) == m * t
+    assert len(products) == t * (m - 1) + (t - 1) * k
+
+
+@pytest.mark.parametrize(
+    "quats, order",
+    [
+        ([qt.circle_quaternion(1, 7)], 7),  # the cap falls among the powers
+        (binary_icosahedral_generators(), 120),  # the cap falls on a whole coset
+    ],
+    ids=["cyclic-7", "binary-icosahedral"],
+)
+def test_coset_closure_cap_is_the_factor_order(quats, order):
+    one, quats = at_one_conductor(quats)
+    elements, _ = groups._factor_closure(one, quats, order)
+    assert len(elements) == order
+    with pytest.raises(CapExceeded):
+        groups._factor_closure(one, quats, order - 1)
+
+
+@pytest.mark.parametrize(
+    "quats",
+    [
+        [qt.quat(Fraction(3, 5), Fraction(4, 5))],  # among the powers
+        [qt.quat_i(), qt.quat(Fraction(3, 5), Fraction(4, 5))],  # coset after coset
+    ],
+    ids=["first", "second"],
+)
+def test_infinite_order_generator_hits_the_cap(quats):
+    with pytest.raises(CapExceeded):
+        groups._factor_closure(qt.quat_one(), quats, 50)
+    with pytest.raises(CapExceeded):
+        generate_group([spin_left(q) for q in quats], cap=50)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 
 from spherecover import knots as kn
 from spherecover.errors import NotAKnot, ParseError, SpecViolation, ValidationError
-from spherecover.linalg import integer_determinant
+from spherecover.linalg import AbelianGroup, integer_determinant
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -75,7 +75,7 @@ def test_parse_empty_pd_is_unknot():
     d = kn.parse_pd("[]")
     assert d.crossing_count == 0
     assert kn.determinant(d) == 1
-    assert kn.h1_double_cover(d).is_trivial()
+    assert kn.h1_double_cover(d) == AbelianGroup()
 
 
 def test_parse_dt_trefoil_and_fig8():
