@@ -14,9 +14,11 @@ loudly when they disagree beyond tolerance.
 
 In s = sin^2 t the profile is f^2 = s (1 - s) / (l^2 s + k^2 (1 - s)), so
 everything but the oracle is decided in closed form: the chain and
-doubling comparisons are two integer inequalities, and the turning points
-f = c of a Clairaut geodesic are the roots of a quadratic in s.  The gate
-threshold defaults to ``RunConfig.tol_oracle``.
+doubling comparisons are two integer inequalities, the turning points
+f = c of a Clairaut geodesic are the roots of a quadratic in s, and the
+angle and length of every arc are elementary.  Only the oracle uses numpy,
+and it imports it on first call.  The gate threshold defaults to
+``RunConfig.tol_oracle``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import RunConfig
 from .errors import OracleMismatch, SpecViolation
@@ -59,11 +59,10 @@ class RevolutionProfile:
     params: tuple
 
     def value(self, t):
-        """f at t, for a float or an array of floats."""
-        t = np.asarray(t, dtype=float)
+        """f at t."""
         k, l = self.params
-        s, c = np.sin(t), np.cos(t)
-        f = s * c / np.sqrt(l * l * s * s + k * k * c * c)
+        s, c = math.sin(t), math.cos(t)
+        f = s * c / math.sqrt(l * l * s * s + k * k * c * c)
         return 2.0 * f if self.kind == "doubled" else f
 
 
@@ -109,6 +108,8 @@ def orbit_distance(action, p, q):
     term, and Newton steps on A' refine every local maximum of the samples
     at once; a refined value only counts where it beats the samples.
     """
+    import numpy as np
+
     k, l = action.k, action.l
     if k > MAX_ORACLE_WEIGHT:
         raise SpecViolation(f"the orbit oracle takes weights up to {MAX_ORACLE_WEIGHT}")
@@ -145,68 +146,62 @@ def quotient_coordinates(action, z):
 
 # -- geodesics on the revolution surface ----------------------------------------------
 
-# Gauss-Legendre rule on [0, 1] (Golub & Welsch 1969), shared by every half-segment
-GL_NODES = 32
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
-_GL_X, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
-
 SAMPLES = 24  # Clairaut constants sampled per branch before root bracketing
-TIP = 1e-3  # smallest turning-branch constant, as a fraction of c_max
 
 
 def _turning(prof, c):
-    """The roots a <= b of f = c, the turning points of a Clairaut geodesic.
+    """(a, b, s_a, v_b): the roots a <= b of f = c, the turning points of a Clairaut geodesic.
 
     In s = sin^2 t, f = c is s^2 - 2 h s + (c k)^2 = 0 with
     h = (1 + c^2 (k^2 - l^2)) / 2 (c scaled to the weighted profile).  The
-    small root is taken without cancellation, the far one through
-    (1 - s_a)(1 - s_b) = (c l)^2, and the discriminant h^2 - (c k)^2 in
-    factored form, which keeps its digits near the peak f = 1/(k + l).
+    small root s_a = sin^2 a is taken without cancellation, the far one as
+    v_b = cos^2 b through (1 - s_a)(1 - s_b) = (c l)^2, and the discriminant
+    h^2 - (c k)^2 in factored form, which keeps its digits near the peak
+    f = 1/(k + l).
     """
     k, l = prof.params
     c = c / _scale(prof)
     h = 0.5 * (1.0 + c * c * (k * k - l * l))
     disc = (h + c * k) * 0.5 * max(1.0 - c * (k + l), 0.0) * (1.0 - c * (k - l))
     s_a = (c * k) ** 2 / (h + math.sqrt(disc))
-    r_b = (c * l) ** 2 / (1.0 - s_a)  # 1 - s_b
-    return (
-        math.atan2(math.sqrt(s_a), math.sqrt(1.0 - s_a)),
-        math.atan2(math.sqrt(1.0 - r_b), math.sqrt(r_b)),
-    )
+    v_b = (c * l) ** 2 / (1.0 - s_a)
+    a = math.atan2(math.sqrt(s_a), math.sqrt(1.0 - s_a))
+    b = math.atan2(math.sqrt(1.0 - v_b), math.sqrt(v_b))
+    return a, max(a, b), s_a, v_b  # at the peak the two can cross by an ulp
 
 
-def _pieces(prof, c, a, b, t1, t2):
-    """Rows (delta phi, length), columns the arcs [a, t1], [t1, t2], [t2, b], at Clairaut c.
+def _arcs(prof, c, t1, t2, f1, f2):
+    """Columns (delta phi, length) over the arcs [a, t1], [t1, t2], [t2, b] at Clairaut c.
 
-    a <= t1 <= t2 <= b are the turning points f(a) = f(b) = c around the
-    endpoints.  Each arc is split at its midpoint; the lower half is
-    integrated in u = sqrt(t - a) and the upper half in u = sqrt(b - t),
-    which removes the inverse-square-root behaviour at a turning point
-    that bounds the half and keeps a near-tangent endpoint smooth.  Near a
-    turning point floating cancellation can drive f(t) - c below half its
-    linearization slope * x; there the linearization is used instead.
-    All six halves share the same nodes and one profile evaluation.
+    a <= t1 and b >= t2 are the turning points f = c around the endpoints;
+    an endpoint whose f (f1 or f2) is at most c is its own, the tangency.
+    With s = sin^2 t, v = 1 - s, P = s - s_a and R = s_b - s, the integrands
+    dL = ds / (2 sqrt(P R)) and sigma dphi = (c / 2)(k^2 / s + l^2 / v) ds / sqrt(P R)
+    have arcsine primitives, as s_a s_b = (c k)^2 and v_a v_b = (c l)^2; up
+    to constants they are
+
+        L = atan2(sqrt P, sqrt R),
+        sigma phi = k atan2(sqrt(s_b P), sqrt(s_a R)) - l atan2(sqrt(v_a R), sqrt(v_b P)),
+
+    with P = sin(t - a) sin(t + a) and R = sin(b - t) sin(b + t), which keep
+    the digits of an endpoint near a turning point.  At c = 0 the middle arc
+    is the meridian, and atan2(0, 0) = 0 at a = 0 and b = pi/2 gives the
+    outer arcs k pi / 2 and l pi / 2 (over sigma), their limits as c -> 0.
     """
-    lo, hi = np.array([a, t1, t2]), np.array([t1, t2, b])
-    mid = 0.5 * (lo + hi)
-    # one row per half: x = |t - ref| runs over [x_lo, x_hi]
-    ref = np.repeat([a, b], 3)[:, None]
-    sign = np.repeat([1.0, -1.0], 3)[:, None]
-    x_lo = np.concatenate([lo - a, b - hi])[:, None]
-    x_hi = np.concatenate([mid - a, b - mid])[:, None]
-    u_lo, u_hi = np.sqrt(x_lo), np.sqrt(x_hi)
-    u = u_lo + (u_hi - u_lo) * _GL_X
-    x = u * u
-    h = np.maximum(1e-6 * x_hi, 1e-12)
-    f = prof.value(ref + sign * np.hstack([x, h]))  # the nodes, then a slope probe
-    f, slope = f[:, :-1], np.maximum((f[:, -1:] - c) / h, 1e-30)
-    raw, lin = f - c, slope * x
-    cancelled = (x < 1e-2 * x_hi) & ((raw < 0.5 * lin) | (raw <= 0.0))
-    diff = np.where(cancelled, lin, np.where(raw <= 0.0, 1e-300, raw))
-    # weight * dt / sqrt(f^2 - c^2), with dt = 2 u du
-    dw = 2 * u * (u_hi - u_lo) * _GL_W / np.sqrt(diff * (f + c))
-    halves = np.array([(c / f * dw).sum(axis=1), (f * dw).sum(axis=1)])
-    return halves[:, :3] + halves[:, 3:]
+    k, l = prof.params
+    a, b, s_a, v_b = _turning(prof, c)
+    a = t1 if f1 <= c else min(a, t1)
+    b = t2 if f2 <= c else max(b, t2)
+    ra, rb = math.sqrt(s_a), math.sqrt(1.0 - v_b)  # sqrt s_a, sqrt s_b
+    qa, qb = math.sqrt(1.0 - s_a), math.sqrt(v_b)  # sqrt v_a, sqrt v_b
+    sigma = _scale(prof)
+    phi, length = [], []
+    for t in (a, t1, t2, b):
+        p = math.sqrt(math.sin(t - a) * math.sin(t + a))
+        r = math.sqrt(math.sin(b - t) * math.sin(b + t))
+        phi.append((k * math.atan2(rb * p, ra * r) - l * math.atan2(qa * r, qb * p)) / sigma)
+        length.append(math.atan2(p, r))
+    return [y - x for x, y in zip(phi, phi[1:])], [y - x for x, y in zip(length, length[1:])]
 
 
 def profile_distance(prof, a, b):
@@ -218,16 +213,17 @@ def profile_distance(prof, a, b):
     angular transport matches the target; the shortest wins.  The parallel
     route is the answer where no Clairaut bracket forms, as for two points
     on the peak parallel of f, which is itself a geodesic.  Over the arcs
-    A, M, B of :func:`_pieces`, the direct geodesic at Clairaut constant c
+    A, M, B of :func:`_arcs`, the direct geodesic at Clairaut constant c
     is M, the one turning below t1 is 2A + M and the one turning beyond t2
     is M + 2B.  At c_max = min(f(t1), f(t2)) the endpoint with the smaller f
     is a turning point, so the direct branch continues into the turning
     branch on that side.  The two are shot as one path, so a target
     whose geodesic is close to that tangency is bracketed like any other.
-    The other turning branch is a path of its own.  Turning branches stop at
-    c = TIP * c_max, where their geodesics pass the cone point within
-    O(TIP^2) of the route through it.  Quadrature and root tolerances
-    leave ~1e-6 of slack.
+    The other turning branch is a path of its own.  Turning branches run
+    down to c = 0, the route through the cone point.  The angle is
+    continuous along each path, except where both endpoints lie on one
+    parallel near the peak of f: there the branches meet in a jump at c_max,
+    and a bracket across it holds no root.
     """
     t1, phi1 = a
     t2, phi2 = b
@@ -250,18 +246,16 @@ def profile_distance(prof, a, b):
     near, far = (left, right) if f1 <= f2 else (right, left)
 
     def shoot(s, branch):
-        # s in [0, 1): the direct branch at c = s * c_max; s in [1, 2]:
-        # ``branch`` at c = (2 - s) * c_max
-        c = c_max * (1.0 - abs(1.0 - s))
-        ta, tb = _turning(prof, c)
-        # an endpoint with f <= c is the tangency itself
-        ta = t1 if f1 <= c else min(ta, t1)
-        tb = t2 if f2 <= c else max(tb, t2)
-        return _pieces(prof, c, ta, tb, t1, t2) @ (branch if s >= 1.0 else direct)
+        # the direct branch for s in [0, 1), ``branch`` for s in [1, 2], at
+        # c = c_max s (2 - s): phi grows like sqrt(c_max - c) = sqrt(c_max) |1 - s|
+        # from the tangency, so the path is smooth through it
+        arcs = _arcs(prof, c_max * s * (2.0 - s), t1, t2, f1, f2)
+        weights = branch if s >= 1.0 else direct
+        return [sum(n * x for n, x in zip(weights, column)) for column in arcs]
 
-    grid = np.linspace(0.0, 1.0, SAMPLES + 1)
-    turning = 1.0 + (1.0 - TIP) * grid
-    for branch, path in ((near, np.concatenate([grid[:-1], turning])), (far, turning)):
+    grid = [i / SAMPLES for i in range(SAMPLES + 1)]
+    turning = [1.0 + s for s in grid]
+    for branch, path in ((near, grid[:-1] + turning), (far, turning)):
         prev_s = prev_gap = None
         for s in path:
             gap = shoot(s, branch)[0] - w
@@ -274,7 +268,7 @@ def profile_distance(prof, a, b):
                     else:
                         hi = mid
                 phi_root, len_root = shoot(0.5 * (lo + hi), branch)
-                if abs(phi_root - w) < 1e-5:  # reject quadrature-jitter roots
+                if abs(phi_root - w) < 1e-5:  # reject a bracket across the jump at c_max
                     candidates.append(len_root)
             prev_s, prev_gap = s, gap
     return min(candidates)
@@ -288,6 +282,8 @@ def validate_profile(
     This is the gate that earns the closed-form profile: failure above
     tolerance rejects the profile by raising OracleMismatch.
     """
+    import numpy as np
+
     if samples < 1:
         raise SpecViolation("the oracle needs at least one sample")
     rng = np.random.default_rng(seed)

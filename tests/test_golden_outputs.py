@@ -7,7 +7,9 @@ one-conductor ``product_sum``, same-conductor ``==``, and SO(4)
 representatives read from the Spin pair.  The knot files were recorded
 while the cover group was still closed by products in the regular group
 of the coset table, before it was read off the table's columns.  No fast
-path may change a printed byte or an exit code.
+path may change a printed byte or an exit code.  The orbit files were
+recorded while the profile was still evaluated with numpy and the
+geodesics by quadrature.
 """
 
 import os
@@ -61,4 +63,17 @@ def test_spaceform_output_is_byte_identical(argv, golden, code):
     ids=["corpus-run-json", "analyze-torus-3-5-json"],
 )
 def test_knot_output_is_byte_identical(argv, golden, code):
+    assert_output_is_golden(argv, golden, code)
+
+
+@pytest.mark.parametrize(
+    "argv, golden, code",
+    [
+        (["orbit", "profile", "2", "1", "--points", "200"], "orbit_profile_2_1.csv", 0),
+        (["orbit", "compare", "--chain", "3", "2"], "orbit_compare_chain_3_2.txt", 0),
+        (["orbit", "compare", "--chain", "5", "1"], "orbit_compare_chain_5_1.txt", 0),
+    ],
+    ids=["profile-2-1", "compare-chain-3-2", "compare-chain-5-1"],
+)
+def test_orbit_output_is_byte_identical(argv, golden, code):
     assert_output_is_golden(argv, golden, code)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,7 +56,7 @@ def test_profile_boundary_and_positivity():
     t0, t1 = prof.domain
     assert prof.value(t0) == 0.0 and prof.value(t1) == pytest.approx(0.0, abs=1e-15)
     ts = np.linspace(t0 + 1e-6, t1 - 1e-6, 1000)
-    assert np.all(prof.value(ts) > 0)
+    assert all(prof.value(t) > 0 for t in ts)
 
 
 def test_small_t_asymptotics():
@@ -116,7 +117,7 @@ def test_compare_matches_dense_sampling():
         prof = ob.profile(ob.WeightedAction(k, l))
         profiles += [prof, ob.RevolutionProfile("doubled", prof.domain, prof.params)]
     ts = np.linspace(0.0, math.pi / 2, 4001)[1:-1]
-    values = [p.value(ts) for p in profiles]
+    values = [np.array([p.value(t) for t in ts]) for p in profiles]
     for pa, va in zip(profiles, values):
         for pb, vb in zip(profiles, values):
             assert ob.compare(pa, pb) == bool(np.all(va - vb >= -1e-15)), (pa, pb)
@@ -131,11 +132,11 @@ def test_branched_double_rejects_doubled():
 def test_turning_points_at_the_ends_of_the_range():
     for k, l in [(1, 1), (2, 1), (7, 3)]:
         prof = ob.profile(ob.WeightedAction(k, l))
-        assert ob._turning(prof, 0.0) == (0.0, math.pi / 2)
+        assert ob._turning(prof, 0.0) == (0.0, math.pi / 2, 0.0, 0.0)
         # f evaluated beside the peak can exceed 1/(k + l) in floats
         peak = math.atan(math.sqrt(k / l))
-        c = float(prof.value(np.linspace(peak - 1e-7, peak + 1e-7, 201)).max())
-        a, b = ob._turning(prof, c)
+        c = max(prof.value(t) for t in np.linspace(peak - 1e-7, peak + 1e-7, 201))
+        a, b, _, _ = ob._turning(prof, c)
         assert a == pytest.approx(peak, abs=1e-7) and b == pytest.approx(peak, abs=1e-7)
 
 
@@ -147,11 +148,86 @@ def test_turning_points_at_the_ends_of_the_range():
 def test_turning_points_solve_f_equals_c(weights, fraction):
     prof = ob.profile(ob.WeightedAction(*weights))
     c = fraction / sum(weights)  # below the peak f = 1/(k + l)
-    a, b = ob._turning(prof, c)
+    a, b, s_a, v_b = ob._turning(prof, c)
     assert 0.0 <= a <= b <= math.pi / 2
+    assert s_a == pytest.approx(math.sin(a) ** 2, rel=1e-12)
+    k = weights[0]
+    assert s_a * (1.0 - v_b) == pytest.approx((c * k) ** 2, rel=1e-12)  # s_a s_b
     # relative 1e-12, plus one ulp of t near pi/2, where f' = -1/l
     for t in (a, b):
         assert abs(prof.value(t) - c) <= 1e-12 * c + math.ulp(math.pi / 2)
+
+
+def arcs_by_quadrature(prof, c, t1, t2):
+    """(delta phi, length) of the arcs [a, t1], [t1, t2], [t2, b] at Clairaut c, to 40 digits.
+
+    a and b are the exact turning points, theta = 0 and pi below.  The substitution s = s_a + (s_b - s_a) (1 - cos theta) / 2 turns
+    ds / sqrt((s - s_a)(s_b - s)) into d theta, so the length is theta / 2
+    and the angle integrand (k^2 / s + l^2 / (1 - s)) c / (2 sigma) is smooth.
+    """
+    k, l = prof.params
+    sigma = 2 if prof.kind == "doubled" else 1
+    with mpmath.workdps(40):
+        cw = mpmath.mpf(c) / sigma
+        h = (1 + cw * cw * (k * k - l * l)) / 2
+        root = mpmath.sqrt(h * h - (cw * k) ** 2)
+        s_a, s_b = h - root, h + root
+
+        def theta(t):
+            u = (mpmath.sin(mpmath.mpf(t)) ** 2 - s_a) / (s_b - s_a)
+            return mpmath.acos(1 - 2 * min(max(u, 0), 1))
+
+        def s_of(th):
+            return s_a + (s_b - s_a) * (1 - mpmath.cos(th)) / 2
+
+        thetas = [0, theta(t1), theta(t2), mpmath.pi]
+        phis, lengths = [], []
+        for x, y in zip(thetas, thetas[1:]):
+            angle = mpmath.quad(lambda th: k * k / s_of(th) + l * l / (1 - s_of(th)), [x, y])
+            phis.append(float(cw * angle / (2 * sigma)))
+            lengths.append(float((y - x) / 2))
+    return phis, lengths
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (5, 3), (40, 7)])
+@pytest.mark.parametrize("doubled", [False, True])
+def test_arcs_match_quadrature(weights, doubled):
+    prof = ob.profile(ob.WeightedAction(*weights))
+    if doubled:
+        prof = ob.branched_double(prof)
+    peak = prof.value(math.atan(math.sqrt(weights[0] / weights[1])))
+    for fraction in (1e-4, 0.3, 0.9, 1 - 1e-6):
+        c = fraction * peak
+        a, b, _, _ = ob._turning(prof, c)
+        ends = [(a + 0.25 * (b - a), a + 0.7 * (b - a))]
+        if fraction < 0.99:
+            # an endpoint beside its turning point, where naive arcsines lose
+            # half the digits; closer than 1e-6 of the arc, or with a and b
+            # the near-double root of the peak, an ulp of t1 or of c moves
+            # the exact answer by more than the tolerance
+            ends.append((a + 1e-6 * (b - a), a + 0.5 * (b - a)))
+        for t1, t2 in ends:
+            phis, lengths = ob._arcs(prof, c, t1, t2, prof.value(t1), prof.value(t2))
+            ref_phis, ref_lengths = arcs_by_quadrature(prof, c, t1, t2)
+            assert phis == pytest.approx(ref_phis, rel=1e-9, abs=1e-12), (fraction, t1, t2)
+            assert lengths == pytest.approx(ref_lengths, rel=1e-9, abs=1e-12), (fraction, t1, t2)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (3, 2), (7, 3)])
+def test_arcs_at_c_zero_are_the_cone_limits(weights):
+    # c = 0 is the meridian; the arcs to the cone points turn by half the
+    # cone's angle period, k pi / 2 and l pi / 2 (over sigma), the c -> 0 limits
+    k, l = weights
+    for prof in (ob.profile(ob.WeightedAction(k, l)), ob.branched_double(ob.profile(ob.WeightedAction(k, l)))):
+        sigma = 2 if prof.kind == "doubled" else 1
+        t1, t2 = 0.3, 1.1
+        f1, f2 = prof.value(t1), prof.value(t2)
+        phis, lengths = ob._arcs(prof, 0.0, t1, t2, f1, f2)
+        assert phis == [k * math.pi / 2 / sigma, 0.0, l * math.pi / 2 / sigma]
+        assert lengths == pytest.approx([t1, t2 - t1, math.pi / 2 - t2], abs=1e-15)
+        near_phis, near_lengths = ob._arcs(prof, 1e-15, t1, t2, f1, f2)
+        assert near_phis == pytest.approx(phis, abs=1e-10)
+        assert near_lengths == pytest.approx(lengths, abs=1e-10)
 
 
 def test_orbit_distance_hopf_poles():
@@ -230,7 +306,7 @@ def test_profile_distance_along_the_peak_parallel(delta):
     assert distance == pytest.approx(ob.orbit_distance(act, p, q), abs=1e-8)
 
 
-@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("weights", [(1, 1), (2, 1), (3, 2), (5, 3)])
 def test_validate_profile(weights):
     worst = ob.validate_profile(
         ob.WeightedAction(*weights), samples=100, seed=0, tol=1e-3

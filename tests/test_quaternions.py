@@ -104,6 +104,20 @@ def test_rotation_class_sign_normalization():
     assert hash(qt.RotationClass(-g)) == hash(cls)
 
 
+def test_rotation_class_equality_across_conductors():
+    # phi / 2 is irrational: its leading canonical coefficient is -1 at
+    # conductor 5 and +1 at 15, so a sign convention read off canonical
+    # coefficients would pick opposite representatives before and after a lift
+    phi, half = cy.golden_ratio(), Fraction(1, 2)
+    q = qt.UnitQuaternion(phi * half, half, (phi - 1) * half, 0)
+    cls = qt.RotationClass(qt.Spin4Element(q, qt.quat_one()))
+    assert cls.conductor() == 5
+    lifted = [cls.lift(15), cls.lift(30)]
+    for other in lifted:
+        assert cls == other and other == cls
+    assert lifted[0] == lifted[1] and lifted[1] == lifted[0]
+
+
 def test_fixed_set_identity_all():
     assert qt.fixed_set(qt.RotationClass(qt.Spin4Element(qt.quat_one(), qt.quat_one()))).kind == "all"
 
