@@ -83,7 +83,8 @@ class FiniteGroup:
         """Breadth-first closure of ``identity`` under ``product(label, s)``.
 
         Labels are any hashable stand-ins for the elements; generator ``s``
-        becomes column ``s`` of the right Cayley table.
+        becomes column ``s`` of the right Cayley table.  Labels that are
+        small integers close faster in :meth:`map_closure`.
         """
         index = {identity: 0}
         labels = [identity]
@@ -106,6 +107,35 @@ class FiniteGroup:
             x += 1
         return cls(labels, right, parent, gen)
 
+    @staticmethod
+    def map_closure(maps, size):
+        """Breadth-first closure of 0 under integer maps of ``range(size)``.
+
+        The same search as :meth:`closure`, with labels indexed in a list
+        instead of a dict; map ``s`` becomes column ``s`` of the right
+        Cayley table, and the labels are the group's elements.
+        """
+        index = [-1] * size
+        index[0] = 0
+        labels = [0]
+        parent, gen = [-1], [-1]
+        right = [[] for _ in maps]
+        cells = list(zip(maps, right))
+        x = 0
+        while x < len(labels):
+            label = labels[x]
+            for s, (action, col) in enumerate(cells):
+                p = action[label]
+                j = index[p]
+                if j < 0:
+                    j = index[p] = len(labels)
+                    labels.append(p)
+                    parent.append(x)
+                    gen.append(s)
+                col.append(j)
+            x += 1
+        return FiniteGroup(labels, right, parent, gen)
+
     @classmethod
     def generate(cls, identity, gens, cap=DEFAULT_GROUP_CAP):
         """Breadth-first closure of the generators under exact multiplication.
@@ -118,22 +148,6 @@ class FiniteGroup:
             raise InvalidArgument("cap must be >= 1")
         gens = list(gens)
         return cls.closure(identity, len(gens), lambda e, s: e * gens[s], cap)
-
-    def column_subgroup(self, ngens):
-        """The subgroup generated by the first ``ngens`` generators, on these elements.
-
-        Its closure reads this group's table, so it makes no product and
-        shares this group's element objects.  Breadth-first discovery
-        depends only on the generator-labelled Cayley graph, so the
-        elements, table and tree are those a closure of the same
-        generators from scratch would build.
-        """
-        right = self.right[:ngens]
-        sub = FiniteGroup.closure(
-            self.identity_idx, ngens, lambda x, s: right[s][x], len(self)
-        )
-        elements = [self.elements[x] for x in sub.elements]
-        return type(self)(elements, sub.right, sub.parent, sub.gen)
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -320,7 +334,19 @@ class FiniteGroup:
 
 
 class FiniteRotationGroup(FiniteGroup):
-    """Finite subgroup of Spin(4) or SO(4) with generator provenance."""
+    """Finite subgroup of Spin(4) or SO(4) with generator provenance.
+
+    The group also keeps the factor groups ``factors = (L, R)`` it lies in
+    and, per element, the pair ``(a, b)`` of factor indices of a Spin(4)
+    lift: element x is ``Spin4Element(L[a], R[b])``, or in SO(4) the class
+    of that pair.  Index 0 of each factor is its identity.  Facts that
+    depend on one factor only are read once per factor element.
+    """
+
+    def __init__(self, elements, right, parent, gen, factors, pairs):
+        super().__init__(elements, right, parent, gen)
+        self.factors = factors
+        self.pairs = pairs
 
     @property
     def ambient(self):
@@ -335,9 +361,9 @@ class FiniteRotationGroup(FiniteGroup):
         L and R are closed exactly, each once on its distinct non-identity
         generators and coset by coset of a cyclic subgroup, so the rest of
         their tables is integer arithmetic; the group is then the
-        breadth-first closure of index pairs under (a, b) s = (a l_s, b r_s),
-        read off those tables, in the order element-level closure would find
-        it.
+        breadth-first closure of pair codes a |R| + b under
+        (a, b) s = (a l_s, b r_s), read off those tables, in the order
+        element-level closure would find it.
         """
         gens = list(gens)
         if not gens:
@@ -353,11 +379,28 @@ class FiniteRotationGroup(FiniteGroup):
         one = qt.one_at(conductor)
         lq, lcols = _factor_closure(one, [g.left for g in gens], cap)
         rq, rcols = _factor_closure(one, [g.right for g in gens], cap)
-        pairs = FiniteGroup.closure(
-            (0, 0), len(gens), lambda p, s: (lcols[s][p[0]], rcols[s][p[1]]), cap
+        width = len(rq)
+        lcols = [[a * width for a in col] for col in lcols]
+        codes = FiniteGroup.closure(
+            0, len(gens), lambda c, s: lcols[s][c // width] + rcols[s][c % width], cap
         )
-        elements = [qt.Spin4Element(lq[a], rq[b]) for a, b in pairs.elements]
-        return cls(elements, pairs.right, pairs.parent, pairs.gen)
+        pairs = [divmod(c, width) for c in codes.elements]
+        elements = [qt.Spin4Element(lq[a], rq[b]) for a, b in pairs]
+        return cls(elements, codes.right, codes.parent, codes.gen, (lq, rq), pairs)
+
+    def column_subgroup(self, ngens):
+        """The subgroup generated by the first ``ngens`` generators, on these elements.
+
+        Its closure reads this group's table, so it makes no product and
+        shares this group's element objects and factor pairs.  Breadth-first
+        discovery depends only on the generator-labelled Cayley graph, so
+        the elements, table and tree are those a closure of the same
+        generators from scratch would build.
+        """
+        sub = FiniteGroup.map_closure(self.right[:ngens], len(self))
+        elements = [self.elements[x] for x in sub.elements]
+        pairs = [self.pairs[x] for x in sub.elements]
+        return type(self)(elements, sub.right, sub.parent, sub.gen, self.factors, pairs)
 
     def generators(self):
         return [self.elements[i] for i in self.gens_idx]
@@ -385,61 +428,100 @@ class FiniteRotationGroup(FiniteGroup):
         """Image in SO(4): each element is paired with its product by -1.
 
         Classes keep the order of their first member, and the table and
-        tree are the Spin-level ones read through the pairing.  Each class's
-        representative is picked from the pair {x, -x} of group elements,
-        so no scalar is negated and every canonical key is already cached.
+        tree are the Spin-level ones read through the pairing.  The partner
+        of x = p s is x (-1) = (p (-1)) s, as -1 is central, so partners
+        follow the tree.  :class:`~spherecover.quaternions.RotationClass`
+        picks a representative by the sign of its left factor alone, read
+        here once per left factor index, and from the pair {x, -x} of group
+        elements, so no scalar is negated.  Without -1 in the group, a
+        negative x is negated and keeps its own factor pair.
         """
         if self.ambient == "so4":
             return self
+        n = len(self)
         m = qt.quat(-1, check=False).lift(self.elements[self.identity_idx].conductor())
         minus = self.index.get(qt.Spin4Element(m, m))  # -1, made with no negation
-        image = [None] * len(self)
-        reps = []
-        for x in range(len(self)):
-            if image[x] is None:
-                image[x] = len(reps)
-                partner = None
-                if minus is not None:
-                    y = self.imul(x, minus)
-                    image[y] = len(reps)
-                    partner = self.elements[y]
-                reps.append((x, partner))
-        right = [[image[col[x]] for x, _ in reps] for col in self.right]
-        parent = [-1] + [image[self.parent[x]] for x, _ in reps[1:]]
-        gen = [-1] + [self.gen[x] for x, _ in reps[1:]]
-        elements = [qt.RotationClass(self.elements[x], partner) for x, partner in reps]
-        return FiniteRotationGroup(elements, right, parent, gen)
+        partner = None
+        if minus is not None:
+            partner = [minus] * n
+            for x in range(1, n):
+                partner[x] = self.right[self.gen[x]][partner[self.parent[x]]]
+        image = [-1] * n
+        firsts = []
+        for x in range(n):
+            if image[x] < 0:
+                image[x] = len(firsts)
+                if partner is not None:
+                    image[partner[x]] = len(firsts)
+                firsts.append(x)
+        lq = self.factors[0]
+        signs = {}
+        elements, pairs = [], []
+        for x in firsts:
+            a = self.pairs[x][0]
+            sign = signs.get(a)
+            if sign is None:
+                sign = signs[a] = qt.leading_sign(lq[a])
+                if not sign:
+                    raise InternalInconsistency(f"left factor {lq[a]!r} is null")
+            if sign > 0:
+                src, rep = x, self.elements[x]
+            elif partner is not None:
+                src = partner[x]
+                rep = self.elements[src]
+            else:
+                src, rep = x, -self.elements[x]
+            elements.append(qt.RotationClass.of_rep(rep))
+            pairs.append(self.pairs[src])
+        right = [[image[col[x]] for x in firsts] for col in self.right]
+        parent = [-1] + [image[self.parent[x]] for x in firsts[1:]]
+        gen = [-1] + [self.gen[x] for x in firsts[1:]]
+        return FiniteRotationGroup(elements, right, parent, gen, self.factors, pairs)
+
+    @cached_property
+    def fixed_point_mask(self):
+        """Per element, whether it fixes a point of S^3: exactly when Re l == Re r.
+
+        This is the real-part criterion of
+        :func:`spherecover.quaternions.has_fixed_points`, read from the
+        factor pairs: one dict gives every real part in L and R an id, so
+        equal real parts share one, and each element compares two ids.  An
+        SO(4) class is tested on its lift; a common sign changes nothing.
+        """
+        lq, rq = self.factors
+        ids = {}
+        left = [ids.setdefault(q.real_part(), len(ids)) for q in lq]
+        right = [ids.setdefault(q.real_part(), len(ids)) for q in rq]
+        return [left[a] == right[b] for a, b in self.pairs]
 
     def acts_freely(self):
         """(True, None) iff no non-identity rotation fixes a point of S^3.
 
-        Uses the exact real-part criterion, the same test that decides
-        :func:`spherecover.quaternions.fixed_set`'s kind; the test suite
-        cross-checks both against a generic kernel of ``x -> l*x - x*r``.
+        Uses the exact real-part criterion (:attr:`fixed_point_mask`), the
+        same test that decides :func:`spherecover.quaternions.fixed_set`'s
+        kind; the test suite cross-checks both against a generic kernel of
+        ``x -> l*x - x*r``.
         """
         if self.ambient != "so4":
             raise WrongAmbient("free-action test expects an SO(4) group")
-        for i, e in enumerate(self.elements):
-            if i == self.identity_idx:
-                continue
-            if qt.has_fixed_points(e):
-                return False, e
+        for i, fixed in enumerate(self.fixed_point_mask):
+            if fixed and i != self.identity_idx:
+                return False, self.elements[i]
         return True, None
 
     def subgroup_intersections(self):
-        """Orders of the intersections with S^3 x {1} and {1} x S^1, plus gcd."""
+        """Orders of the intersections with S^3 x {1} and {1} x S^1, plus gcd.
+
+        Counted on the factor pairs, whose index 0 is the identity; each
+        right factor in use is tested once for lying in the circle.
+        """
         if self.ambient != "spin4":
             raise WrongAmbient("intersection counts expect a Spin(4) group")
-        one = qt.one_at(self.elements[self.identity_idx].conductor())
-        left_count = 0
-        right_count = 0
-        for e in self.elements:
-            if not e.right.is_circle_factor():
-                raise WrongAmbient("group is not inside S^3 x S^1")
-            if e.right == one:
-                left_count += 1
-            if e.left == one:
-                right_count += 1
+        rq = self.factors[1]
+        if not all(rq[b].is_circle_factor() for b in {b for _, b in self.pairs}):
+            raise WrongAmbient("group is not inside S^3 x S^1")
+        left_count = sum(b == 0 for _, b in self.pairs)
+        right_count = sum(a == 0 for a, _ in self.pairs)
         return left_count, right_count, math.gcd(left_count, right_count)
 
 

@@ -520,7 +520,7 @@ def branched_cover_group(outcome):
                     members[y] = True
                     found.append(y)
                     queue.append(y)
-    kernel = FiniteGroup.closure(0, len(kept), lambda x, s: kept[s][x], n)
+    kernel = FiniteGroup.map_closure(kept, n)
     if 2 * len(kernel) != n:
         raise InternalInconsistency("parity kernel must have index two")
     return len(kernel), kernel

@@ -139,6 +139,15 @@ def circle_quaternion(num, den):
     return UnitQuaternion(c, s, 0, 0, check=False)
 
 
+def leading_sign(q):
+    """Sign of the first coordinate of q with nonzero canonical form; 0 if q is null."""
+    for scalar in q.coords:
+        s = scalar.sign()
+        if s:
+            return s
+    return 0
+
+
 class Spin4Element:
     """Pair of unit quaternions acting on R^4 by x -> left * x * right^-1."""
 
@@ -207,14 +216,21 @@ class RotationClass:
         self.rep = self._normalize(element, partner)
         self._hash = None
 
+    @classmethod
+    def of_rep(cls, rep):
+        """The class of an already normalized representative, taken as it is."""
+        c = object.__new__(cls)
+        c.rep = rep
+        c._hash = None
+        return c
+
     @staticmethod
     def _normalize(element, partner):
-        for scalar in element.left.coords + element.right.coords:
-            s = scalar.sign()
-            if s < 0:
-                return -element if partner is None else partner
-            if s > 0:
-                return element
+        s = leading_sign(element.left) or leading_sign(element.right)
+        if s < 0:
+            return -element if partner is None else partner
+        if s > 0:
+            return element
         raise InternalInconsistency("sign-normalizing a zero pair")
 
     def __mul__(self, other):

@@ -250,12 +250,14 @@ def verify(cert):
 def _class_fixed_set(gamma, cls):
     """Exact fixed set of a class's least member; fixed-point dimension is a class function.
 
-    The real-part criterion must agree with it on every member.
+    The real-part criterion, read from each member's factor pair, must
+    agree with it on every member.
     """
     fs = qt.fixed_set(gamma.elements[cls[0]])
-    for e in (gamma.elements[i] for i in cls):
-        if qt.has_fixed_points(e) != (fs.dimension() > 0):
-            raise InternalInconsistency(f"fixed-point criteria disagree on {e!r}")
+    fixed, mask = fs.dimension() > 0, gamma.fixed_point_mask
+    for i in cls:
+        if mask[i] != fixed:
+            raise InternalInconsistency(f"fixed-point criteria disagree on {gamma.elements[i]!r}")
     return fs
 
 

@@ -168,12 +168,12 @@ def test_index_two_trap(monkeypatch):
     assert pr.branched_cover_group(outcome)[0] == 3
     # a kernel closure that also takes the meridian t closes to all of S3
     t = outcome.perms[0]
-    closure = FiniteGroup.closure
+    closure = FiniteGroup.map_closure
 
-    def whole(identity, ngens, product, cap):
-        return closure(identity, ngens + 1, lambda x, s: t[x] if s == ngens else product(x, s), cap)
+    def whole(maps, size):
+        return closure(list(maps) + [t], size)
 
-    monkeypatch.setattr(FiniteGroup, "closure", staticmethod(whole))
+    monkeypatch.setattr(FiniteGroup, "map_closure", staticmethod(whole))
     with pytest.raises(InternalInconsistency, match="index two"):
         pr.branched_cover_group(outcome)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -363,3 +364,75 @@ def test_to_so4_reads_each_rep_from_the_pair(monkeypatch, spec):
         assert hash(cls.rep) == hash(oracle.rep) and hash(cls) == hash(oracle)
     firsts = [min(gamma_hat.index[c.rep], gamma_hat.index[-c.rep]) for c in gamma.elements]
     assert firsts == sorted(firsts)  # classes keep the order of their first member
+
+
+# Element reprs, tables and trees of Gamma^, Gamma, Pi^ and Pi over default_sweep(),
+# recorded when rotation groups closed on tuples of factor indices.
+SWEEP_GROUPS_SHA256 = "2f1e94e3cd31c4863071c72a28c54c65ec70cb17b453476e2115546b952281e4"
+SWEEP = sf.default_sweep()
+
+
+@pytest.fixture(scope="module")
+def sweep_certs():
+    return [sf.build(spec) for spec in SWEEP]
+
+
+def _minus_in(group, conductor):
+    m = qt.quat(-1).lift(conductor)
+    return qt.Spin4Element(m, m) in group
+
+
+def _so4_oracle(spin):
+    """Classes in order of their first member, each normalized by negation."""
+    seen, out = set(), []
+    for e in spin.elements:
+        cls = qt.RotationClass(e)
+        if cls not in seen:
+            seen.add(cls)
+            out.append(cls)
+    return out
+
+
+def test_sweep_groups_match_the_recorded_digest(sweep_certs):
+    h = hashlib.sha256()
+    for cert in sweep_certs:
+        for g in (cert.gamma_hat, cert.gamma, cert.pi_hat, cert.pi):
+            h.update(repr([repr(e) for e in g.elements]).encode())
+            h.update(repr((g.right, g.parent, g.gen)).encode())
+    assert h.hexdigest() == SWEEP_GROUPS_SHA256
+
+
+def test_sweep_reaches_to_so4_with_and_without_minus_one(sweep_certs):
+    # Pi^ of an odd-p cyclic spec has odd order, so it lacks -1
+    lacking = [c.spec for c in sweep_certs if not _minus_in(c.pi_hat, c.conductor)]
+    assert lacking and all(s.family == sf.CYCLIC and s.p % 2 for s in lacking)
+    assert all(_minus_in(c.gamma_hat, c.conductor) for c in sweep_certs)
+
+
+@pytest.mark.parametrize("i", range(len(SWEEP)), ids=[spec.label() for spec in SWEEP])
+def test_factor_pairs_agree_with_per_element_facts(sweep_certs, i):
+    cert = sweep_certs[i]
+    one = qt.one_at(cert.conductor)
+    for spin in (cert.gamma_hat, cert.pi_hat):
+        lq, rq = spin.factors
+        assert [qt.Spin4Element(lq[a], rq[b]) for a, b in spin.pairs] == spin.elements
+    pi_hat = cert.pi_hat
+    left = sum(e.right == one for e in pi_hat.elements)
+    right = sum(e.left == one for e in pi_hat.elements)
+    assert pi_hat.subgroup_intersections() == (left, right, math.gcd(left, right))
+    # the involution's right factor j leaves the circle
+    with pytest.raises(WrongAmbient):
+        cert.gamma_hat.subgroup_intersections()
+    so4s = ((cert.gamma, cert.gamma_hat), (cert.pi, cert.pi_hat), (cert.pi_hat.to_so4(), cert.pi_hat))
+    for so4, spin in so4s:
+        oracle = _so4_oracle(spin)
+        assert [c.rep for c in so4.elements] == [c.rep for c in oracle]
+        assert [hash(c) for c in so4.elements] == [hash(c) for c in oracle]
+        lq, rq = so4.factors
+        lifts = [qt.Spin4Element(lq[a], rq[b]) for a, b in so4.pairs]
+        if _minus_in(spin, cert.conductor):
+            # the pair is that of the representative itself
+            assert lifts == [c.rep for c in so4.elements]
+        assert [qt.RotationClass(e) for e in lifts] == so4.elements
+    for group in (cert.gamma_hat, cert.gamma, cert.pi_hat, cert.pi):
+        assert group.fixed_point_mask == [qt.has_fixed_points(e) for e in group.elements]

@@ -217,10 +217,12 @@ def test_real_part_criterion_runs_on_every_class_member(monkeypatch):
     cert = sf.build(sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=2))
     gamma = cert.gamma
     iota_cls = gamma.conjugacy_class(gamma.index[cert.iota_tilde])
-    liar = gamma.elements[iota_cls[-1]]
-    assert len(iota_cls) > 1 and liar not in cert.pi
-    has_fixed_points = qt.has_fixed_points
-    monkeypatch.setattr(qt, "has_fixed_points", lambda e: has_fixed_points(e) != (e == liar))
+    liar = iota_cls[-1]
+    assert len(iota_cls) > 1 and gamma.elements[liar] not in cert.pi
+    # check 6 reads the real-part criterion from the fixed-point mask
+    mask = list(gamma.fixed_point_mask)
+    mask[liar] = not mask[liar]
+    monkeypatch.setattr(gamma, "fixed_point_mask", mask)
     with pytest.raises(InternalInconsistency):
         sf.verify(cert)
     with pytest.raises(InternalInconsistency):
