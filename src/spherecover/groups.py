@@ -39,14 +39,20 @@ class FiniteGroup:
 
     identity_idx = 0
 
-    def __init__(self, elements, right, parent, gen):
+    def __init__(self, elements, right, parent, gen, distinct=False):
         self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+        # A closure finds each label once, so it passes ``distinct`` and its
+        # group builds no index until a lookup needs one.
+        if not distinct and len(self.index) != len(self.elements):
             raise InvalidArgument("duplicate elements in group construction")
         self.right = right
         self.parent = parent
         self.gen = gen
+
+    @cached_property
+    def index(self):
+        """Position of each element, for lookups by element."""
+        return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
     def left(self):
@@ -105,7 +111,7 @@ class FiniteGroup:
                     gen.append(s)
                 col.append(j)
             x += 1
-        return cls(labels, right, parent, gen)
+        return cls(labels, right, parent, gen, distinct=True)
 
     @staticmethod
     def map_closure(maps, size):
@@ -134,7 +140,7 @@ class FiniteGroup:
                     gen.append(s)
                 col.append(j)
             x += 1
-        return FiniteGroup(labels, right, parent, gen)
+        return FiniteGroup(labels, right, parent, gen, distinct=True)
 
     @classmethod
     def generate(cls, identity, gens, cap=DEFAULT_GROUP_CAP):

@@ -176,37 +176,61 @@ def bridge_presentation(pres):
     than MAX_RELATOR_LENGTH.  Survivors keep their original order, so on a
     Wirtinger presentation every generator left is an arc, i.e. a meridian.
     """
-    rels = list(dict.fromkeys(r for r in map(cyclic_reduce, pres.relators) if r))
+    # Each distinct relator gets an id when it first appears, and its
+    # generators and candidate eliminations are read once.  Substitutions
+    # are cached by relator id per candidate id, because most relators
+    # survive a step unchanged.
+    ids, words, held, candidates, substituted = {}, [], [], [], []
+
+    def distinct_ids(rels):
+        out = []
+        for rel in rels:
+            if rel:
+                rid = ids.get(rel)
+                if rid is None:
+                    rid = ids[rel] = len(words)
+                    gens, eliminations = _eliminations(rel)
+                    words.append(rel)
+                    held.append(gens)
+                    own = []
+                    for c, value, inverse in eliminations:
+                        own.append((c, len(substituted), value, inverse))
+                        substituted.append({})
+                    candidates.append(own)
+                out.append(rid)
+        return list(dict.fromkeys(out))
+
     survivors = list(range(1, pres.ngens + 1))
-    # Cached across steps, because most relators survive a step unchanged.
-    eliminations, substituted = {}, {}
+    rels = distinct_ids(map(cyclic_reduce, pres.relators))
     while True:
         holders = {}
-        for k, rel in enumerate(rels):
-            if rel not in eliminations:
-                eliminations[rel] = _eliminations(rel)
-            for g in eliminations[rel][0]:
+        for k, rid in enumerate(rels):
+            for g in held[rid]:
                 holders.setdefault(g, []).append(k)
         best = None
-        for i, rel in enumerate(rels):
-            for g, value, inverse in eliminations[rel][1]:
-                total = -len(rel)
+        for i, rid in enumerate(rels):
+            for g, cid, value, inverse in candidates[rid]:
+                cache = substituted[cid]
+                total = -len(words[rid])
                 for k in holders[g]:
                     if k != i:
-                        key = (rels[k], g, value)
-                        if key not in substituted:
-                            substituted[key] = _substitute(rels[k], g, value, inverse)
-                        total += len(substituted[key]) - len(rels[k])
+                        other = rels[k]
+                        word = cache.get(other)
+                        if word is None:
+                            word = cache[other] = _substitute(words[other], g, value, inverse)
+                        total += len(word) - len(words[other])
                 if best is None or (total, g, i) < best[0]:
-                    best = (total, g, i), value
+                    best = (total, g, i), cid
         if best is None:
             break
-        (_, g, i), value = best
-        new = [substituted.get((s, g, value), s) for s in rels[:i] + rels[i + 1:]]
+        (_, g, i), cid = best
+        cache = substituted[cid]
+        new = [cache.get(rid, words[rid]) for rid in rels[:i] + rels[i + 1:]]
         if max(map(len, new), default=0) > MAX_RELATOR_LENGTH:
             break
         survivors.remove(g)
-        rels = list(dict.fromkeys(r for r in new if r))
+        rels = distinct_ids(new)
+    rels = [words[rid] for rid in rels]
     if not {abs(l) for r in rels for l in r} <= set(survivors):
         raise InternalInconsistency("Tietze survivors must be original generators")
     index = {g: j for j, g in enumerate(survivors, start=1)}
@@ -264,11 +288,15 @@ class _Enumerator:
         # The squares hold by construction of their columns, so only the
         # certificate reads them; each word is scanned forwards in its
         # columns and backwards in their inverses, from its last index.
+        # ``stepwise`` marks a word with a letter that a fresh coset, made by
+        # its predecessor, can already follow (g g on a self-inverse column).
         self.words = []
         for rel in self.relators:
             if rel not in squares:
                 word = tuple(col[l] for l in rel)
-                self.words.append((word, tuple(inv[x] for x in word), len(word) - 1))
+                back = tuple(inv[x] for x in word)
+                stepwise = any(word[k] == back[k - 1] for k in range(1, len(word)))
+                self.words.append((word, back, len(word) - 1, stepwise))
         # Coset c owns entries c*ncols .. c*ncols + ncols - 1 of one flat
         # table, and a defined entry holds the base offset of its coset.
         self.table = [-1] * self.ncols
@@ -322,9 +350,18 @@ class _Enumerator:
 
         Each relator word is traced from the coset both ways, forwards in
         ``word`` and backwards in ``back`` (the inverse column of each
-        letter), and a gap is filled by defining a new coset, from which the
-        forward trace continues, until the word closes.  The first
-        definition that would make ``cap`` live cosets ends the run.
+        letter), and a gap of j - i letters is filled by defining j - i new
+        cosets along the word, then deducing the entry at j.  A fresh coset
+        has one entry, back to its predecessor, and the cosets on the
+        backward trace gain none, so neither trace can move inside the gap;
+        the gap is filled in one pass, in the order one definition per scan
+        would make.  A fresh coset extends a trace only when the gap's first
+        definition is the backward trace's next step (b == f and back[j] ==
+        word[i]), or in a ``stepwise`` word; there one coset is defined and
+        both traces run again.  The first definition that would make
+        ``cap`` live cosets ends the run; no coincidence can occur inside a
+        gap, so a gap that would pass the cap ends it before any of its
+        definitions.
         """
         table, p, inv, n = self.table, self.p, self.inv, self.ncols
         blank = [-1] * n
@@ -336,7 +373,7 @@ class _Enumerator:
         while alpha < top:
             if p[alpha] == alpha:
                 row = alpha * n
-                for word, back, last in self.words:
+                for word, back, last, stepwise in self.words:
                     f, i = row, 0
                     b, j = row, last
                     while True:
@@ -355,20 +392,25 @@ class _Enumerator:
                             self._coincidence(f, b)
                             limit = self.cap + self.dead
                             break
-                        if j == i:
-                            table[f + word[i]] = b
-                            table[b + back[i]] = f
-                            break
-                        if top >= limit:
-                            return CosetTable(self.cap)
-                        p.append(top)
-                        top += 1
-                        table += blank
-                        table[f + word[i]] = nxt
-                        table[nxt + back[i]] = f
-                        f = nxt
-                        nxt += n
-                        i += 1
+                        if j > i:
+                            step = stepwise or (b == f and back[j] == word[i])
+                            count = 1 if step else j - i
+                            if top + count > limit:
+                                return CosetTable(self.cap)
+                            p.extend(range(top, top + count))
+                            top += count
+                            table += blank * count
+                            for k in range(i, i + count):
+                                table[f + word[k]] = nxt
+                                table[nxt + back[k]] = f
+                                f = nxt
+                                nxt += n
+                            if step:
+                                i += 1
+                                continue
+                        table[f + word[j]] = b
+                        table[b + back[j]] = f
+                        break
                     if p[alpha] != alpha:
                         break
                 else:

@@ -242,6 +242,22 @@ def test_bad_arguments_are_invalid_arguments(call):
     assert isinstance(info.value, SphereCoverError) and isinstance(info.value, ValueError)
 
 
+def test_closures_build_their_index_only_on_lookup():
+    # Z/6 acting regularly on range(6) by +1 and +2, closed on integers
+    maps = [[(x + 1) % 6 for x in range(6)], [(x + 2) % 6 for x in range(6)]]
+    on_maps = FiniteGroup.map_closure(maps, 6)
+    on_labels = FiniteGroup.closure(0, 2, lambda x, s: maps[s][x], 100)
+    for group in (on_maps, on_labels):
+        assert "index" not in vars(group)
+        assert 5 in group and 6 not in group
+        assert group.index == {e: i for i, e in enumerate(group.elements)}
+    # a group given its elements from outside still checks them at once
+    rotations = generate_group([spin_left(qt.quat_i())])
+    assert "index" in vars(rotations)
+    with pytest.raises(InvalidArgument):
+        FiniteGroup([(0, 1), (0, 1)], [], [-1, 0], [-1, 0])
+
+
 def test_factor_closures_skip_identity_and_repeated_factors(monkeypatch):
     h = Fraction(1, 2)
     omega = qt.quat(h, h, h, h)

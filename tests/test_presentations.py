@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spherecover import analyzer as an
 from spherecover import knots as kn
@@ -9,6 +13,7 @@ from spherecover.config import packaged_corpus_text
 from spherecover.errors import InternalInconsistency, NotIndexTwo, ValidationError
 from spherecover.linalg import AbelianGroup, cokernel
 
+import bridge_oracle
 import tc_oracle
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
@@ -175,6 +180,79 @@ def test_reduction_guard_rejects_a_lost_generator(monkeypatch):
     monkeypatch.setattr(pr, "_substitute", lambda rel, c, value, inverse: rel + (c, c))
     with pytest.raises(InternalInconsistency, match="survivors"):
         pr.bridge_presentation(pr.wirtinger(kn.braid_to_diagram(kn.torus_knot(3, 5))))
+
+
+# -- Tietze reduction against its oracle ---------------------------------------------
+
+
+def assert_matches_the_bridge_oracle(diagram):
+    wirt = pr.wirtinger(diagram)
+    assert pr.bridge_presentation(wirt) == bridge_oracle.bridge_presentation(wirt), diagram.name
+
+
+def test_reduction_matches_the_oracle_on_the_corpus():
+    for name, fmt, payload in an.parse_corpus(packaged_corpus_text()):
+        assert_matches_the_bridge_oracle(an.diagram_from_payload(fmt, payload, name=name))
+
+
+def test_reduction_matches_the_oracle_on_two_bridge_and_two_strand_torus_knots():
+    for p in range(3, 32, 2):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                assert_matches_the_bridge_oracle(kn.two_bridge(p, q))
+        assert_matches_the_bridge_oracle(kn.braid_to_diagram(kn.torus_knot(2, p)))
+
+
+@pytest.mark.parametrize("p, q", [(3, 7), (3, 8), (4, 5)])
+def test_reduction_matches_the_oracle_on_rotated_and_mirrored_torus_braids(p, q):
+    word = kn.torus_knot(p, q).letters
+    for r in range(len(word)):
+        for sign in (1, -1):
+            rotated = tuple(sign * x for x in word[r:] + word[:r])
+            assert_matches_the_bridge_oracle(kn.braid_to_diagram(kn.BraidWord(p, rotated)))
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_reduction_matches_the_oracle_on_markov_moved_torus_braids(q):
+    rng = random.Random(q)
+    word = list(kn.torus_knot(3, q).letters)
+    for _ in range(24):
+        r = rng.randrange(len(word))
+        x = rng.choice([1, -1, 2, -2])
+        moved = [x] + word[r:] + word[:r] + [-x, rng.choice([3, -3])]
+        assert_matches_the_bridge_oracle(kn.braid_to_diagram(kn.BraidWord(4, tuple(moved))))
+
+
+@pytest.mark.parametrize("triple", [(3, 3, 5), (3, 5, 5), (3, 5, 7)])
+def test_reduction_matches_the_oracle_on_odd_pretzels(triple):
+    for order in sorted(set(itertools.permutations(triple))):
+        assert_matches_the_bridge_oracle(kn.montesinos(0, [(1, a) for a in order]))
+
+
+@st.composite
+def knot_braids(draw):
+    """A random braid word, closed up by crossings that make its strands one cycle."""
+    strands = draw(st.integers(2, 5))
+    letters = list(draw(st.lists(st.integers(1, strands - 1), max_size=12)))
+    # bubble the strand order into (1 2 ... n-1 0), the order of one n-cycle
+    order = kn.BraidWord(strands, tuple(letters)).closure_permutation()
+    for pos, strand in enumerate(list(range(1, strands)) + [0]):
+        for k in range(order.index(strand), pos, -1):
+            order[k - 1], order[k] = order[k], order[k - 1]
+            letters.append(k)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(letters), max_size=len(letters)))
+    braid = kn.BraidWord(strands, tuple(s * x for s, x in zip(signs, letters)))
+    assert braid.closure_components() == 1
+    return braid
+
+
+@settings(max_examples=150, deadline=None)
+@given(knot_braids())
+def test_reduction_matches_the_oracle_on_random_braids(braid):
+    # braid_to_diagram rejects this one-crossing kink of the unknot (a
+    # defect of its own, listed in CHANGES.md); it has nothing to reduce
+    assume(braid != kn.BraidWord(2, (-1,)))
+    assert_matches_the_bridge_oracle(kn.braid_to_diagram(braid))
 
 
 # -- Todd-Coxeter ---------------------------------------------------------------
@@ -456,6 +534,75 @@ def test_flat_table_matches_the_oracle_on_random_presentations(ngens, squares):
         for cap in (50, 500, 5000):
             ours = pr.todd_coxeter(pres, cap)
             assert ours == tc_oracle.todd_coxeter(pres, cap), (pres.text(), cap)
+
+
+# -- gap fill against the oracle -------------------------------------------------------
+
+
+class _PeakOracle(tc_oracle._Enumerator):
+    """The oracle's enumeration, recording the most live cosets it held at once."""
+
+    peak = 1
+
+    def _define(self, alpha, x):
+        super()._define(alpha, x)
+        self.peak = max(self.peak, self.n_live)
+
+
+def peak_live_cosets(pres, cap):
+    enumerator = _PeakOracle(pres, cap)
+    enumerator.run()
+    return enumerator.peak
+
+
+def assert_matches_the_oracle_at_the_peak(pres, cap):
+    """Equal tables at ``cap``, at the run's peak live count and one below it."""
+    peak = peak_live_cosets(pres, cap)
+    for c in {cap, peak, max(peak - 1, 1)}:
+        assert pr.todd_coxeter(pres, c) == tc_oracle.todd_coxeter(pres, c), (pres.text(), c)
+
+
+GAP_CASES = {
+    # a a inside a longer word, a squared: the fresh coset made for the
+    # first a already has the entry the second a follows
+    "squared-letter-pair": ("gens=2; rel= 1 1, -2 -2 -2 1 1 1 -2 1", 16, 19),
+    # the last word starts and ends with the squared b, so the gap's first
+    # definition at coset 0 is also the backward trace's next step
+    "backward-step": ("gens=3; rel= 1 1, 2 2, 3 3, 2 1 2 3 1 3 2 3 2", 8, 48),
+    # one below the peak the cap falls inside a gap of several letters
+    "cap-inside-a-gap": ("gens=2; rel= 1 1, 2 2 2, 1 2 1 2 1 2 1 2 1 -2", 3, 24),
+}
+
+
+@pytest.mark.parametrize("text, order, peak", GAP_CASES.values(), ids=GAP_CASES.keys())
+def test_gap_fill_matches_the_oracle_at_the_peak(text, order, peak):
+    pres = pr.GroupPresentation.parse(text)
+    assert peak_live_cosets(pres, 10_000) == peak
+    assert pr.todd_coxeter(pres, peak).order == order
+    assert not pr.todd_coxeter(pres, peak - 1).finite
+    assert_matches_the_oracle_at_the_peak(pres, 10_000)
+
+
+@st.composite
+def gap_presentations(draw):
+    """1-3 words of length 1-9, some with a a on a squared a, plus the squares."""
+    ngens = draw(st.integers(1, 3))
+    letter = st.integers(1, ngens).flatmap(lambda g: st.sampled_from([g, -g]))
+    squared = sorted(draw(st.sets(st.integers(1, ngens))))
+    relators = []
+    for word in draw(st.lists(st.lists(letter, min_size=1, max_size=9), min_size=1, max_size=3)):
+        if squared and draw(st.booleans()):
+            g = draw(st.sampled_from(squared))
+            k = draw(st.integers(0, len(word)))
+            word = word[:k] + [g, g] + word[k:]
+        relators.append(word)
+    return pr.GroupPresentation.make(ngens, relators + [(g, g) for g in squared])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gap_presentations())
+def test_gap_fill_matches_the_oracle_on_random_presentations(pres):
+    assert_matches_the_oracle_at_the_peak(pres, 500)
 
 
 # -- branched cover extraction -----------------------------------------------------
