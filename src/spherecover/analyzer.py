@@ -207,17 +207,28 @@ def parse_corpus(text):
     return rows
 
 
+def count_violations(records):
+    """Trichotomy violations over report records, one per rule a record breaks.
+
+    The rules: a record marked inconsistent, an even determinant, and a
+    cover of order 2.
+    """
+    return sum(
+        (rec.get("trichotomy_consistent") is False)
+        + (rec.get("det") is not None and rec["det"] % 2 == 0)
+        + (rec.get("cover_order") == 2)
+        for rec in records
+    )
+
+
 @dataclass
 class CorpusSummary:
     reports: list
     row_errors: int
-    trichotomy_violations: int
-    even_determinants: int
-    order_two_covers: int
 
     @property
     def violations(self):
-        return self.trichotomy_violations + self.even_determinants + self.order_two_covers
+        return count_violations(r.to_record() for r in self.reports)
 
 
 def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP):
@@ -240,17 +251,4 @@ def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP):
 
     reports = [run_row(row) for row in rows]
     reports.sort(key=lambda r: r.name)
-    summary = CorpusSummary(
-        reports=reports,
-        row_errors=sum(1 for r in reports if r.error),
-        trichotomy_violations=sum(
-            1 for r in reports if r.trichotomy_consistent is False
-        ),
-        even_determinants=sum(
-            1
-            for r in reports
-            if r.determinant is not None and r.determinant % 2 == 0
-        ),
-        order_two_covers=sum(1 for r in reports if r.cover_order == 2),
-    )
-    return summary
+    return CorpusSummary(reports, row_errors=sum(1 for r in reports if r.error))

@@ -281,15 +281,7 @@ def cmd_corpus_run(args, config, out):
             cache.put(key, json.dumps(nameless, sort_keys=False).encode())
     records.sort(key=lambda r: r["name"])
     _emit_records(records, config.output_format, out)
-    violations = (
-        sum(1 for rec in records if rec.get("trichotomy_consistent") is False)
-        + sum(
-            1
-            for rec in records
-            if rec.get("det") is not None and rec["det"] % 2 == 0
-        )
-        + sum(1 for rec in records if rec.get("cover_order") == 2)
-    )
+    violations = analyzer.count_violations(records)
     errors = summary.row_errors
     out.write(f"violations: {violations}\n")
     out.write(f"row_errors: {errors}\n")

@@ -22,15 +22,21 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
-
-from .errors import DivisionByZero, InternalInconsistency, InvalidArgument, NotReal
-
-# Private interval context for the sign fallback, so mpmath.iv is never touched.
-_IV = MPIntervalContext()
+from .errors import InternalInconsistency, InvalidArgument, NotReal
 
 _ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=None)
+def _interval_context():
+    """A private mpmath interval context for the sign fallback, made on first use.
+
+    mpmath is loaded only here: the double fast path settles almost every
+    sign, so most runs never import it.  ``mpmath.iv`` is never touched.
+    """
+    from mpmath.ctx_iv import MPIntervalContext
+
+    return MPIntervalContext()
 
 
 def _proper_divisors(n):
@@ -260,18 +266,6 @@ class ExactScalar:
     def is_zero(self):
         return not self._canon_key()[1]
 
-    def is_rational(self):
-        pairs = self._canon_key()[1]
-        return len(pairs) == 0 or (len(pairs) == 1 and pairs[0][0] == 0)
-
-    def as_rational(self):
-        d, pairs = self._canon_key()
-        if not pairs:
-            return _ZERO
-        if len(pairs) == 1 and pairs[0][0] == 0:
-            return Fraction(pairs[0][1], d)
-        raise InvalidArgument("scalar is not rational")
-
     def conjugate_is_self(self):
         return self._conj_raw()._canon_key() == self._canon_key()
 
@@ -339,46 +333,7 @@ class ExactScalar:
         n = self.conductor
         return ExactScalar._make(n, _fold(self._num.items(), k, _context(n)), self._den)
 
-    def inv(self):
-        """Exact field inverse via the product of Galois conjugates."""
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        if self.is_rational():
-            return ExactScalar.from_rational(1 / self.as_rational(), self.conductor)
-        n = self.conductor
-        prod = None
-        for k in range(2, n):
-            if math.gcd(k, n) != 1:
-                continue
-            img = self.galois_image(k)
-            prod = img if prod is None else prod * img
-        norm = self * prod
-        q = norm.as_rational()  # field norm is rational by construction
-        if not q:
-            raise DivisionByZero("zero field norm")
-        return prod * (1 / q)
-
-    def __truediv__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return a * b.inv()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        result = ExactScalar.from_rational(1, self.conductor)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    # -- comparisons and embedding ------------------------------------------
+    # -- equality and sign --------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, ExactScalar) and other.conductor == self.conductor:
@@ -425,7 +380,7 @@ class ExactScalar:
         except OverflowError:
             pass
         n = self.conductor
-        iv = _IV
+        iv = _interval_context()
         prec = 128
         while prec <= 1 << 16:
             iv.prec = prec
@@ -439,29 +394,6 @@ class ExactScalar:
                 return -1
             prec *= 2
         raise InternalInconsistency("could not certify sign at 65536 bits")  # pragma: no cover
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
-
-    def to_float(self):
-        """Float embedding via zeta_N -> exp(2*pi*i/N), good to ~1e-15 relative."""
-        n = self.conductor
-        with mpmath.workprec(120):
-            tau = 2 * mpmath.pi
-            total = mpmath.mpf(0)
-            den = mpmath.mpf(self._den)
-            for e, v in self._num.items():
-                total += mpmath.mpf(v) / den * mpmath.cos(tau * e / n)
-            return float(total)
 
     def __repr__(self):
         canon = self.canonical()
@@ -490,10 +422,6 @@ def rational(value, conductor=1):
 
 def zero(conductor=1):
     return ExactScalar._make(conductor, {}, 1)
-
-
-def one(conductor=1):
-    return ExactScalar.from_rational(1, conductor)
 
 
 def cos_tau(num, den):

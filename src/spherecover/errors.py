@@ -9,10 +9,6 @@ class NotReal(SphereCoverError):
     """A cyclotomic expression is not fixed by complex conjugation."""
 
 
-class DivisionByZero(SphereCoverError):
-    """Exact division by a scalar whose canonical form is zero."""
-
-
 class CapExceeded(SphereCoverError):
     """A closure or enumeration exceeded its configured element cap."""
 

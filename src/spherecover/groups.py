@@ -179,9 +179,6 @@ class FiniteGroup:
             i = parent[i]
         return j
 
-    def iinv(self, i):
-        return self.inverse[i]
-
     def _as_index(self, g):
         if isinstance(g, int):
             if not 0 <= g < len(self.elements):
@@ -357,42 +354,6 @@ class FiniteRotationGroup(FiniteGroup):
     @property
     def ambient(self):
         return "so4" if isinstance(self.elements[0], qt.RotationClass) else "spin4"
-
-    @classmethod
-    def generate_rotations(cls, gens, cap=DEFAULT_GROUP_CAP):
-        """Closure of Spin(4) elements, run on indices into its two factor groups.
-
-        The group lies in L x R, with L and R the groups generated by the
-        left and the right quaternions, neither larger than it (Goursat).
-        L and R are closed exactly, each once on its distinct non-identity
-        generators and coset by coset of a cyclic subgroup, so the rest of
-        their tables is integer arithmetic; the group is then the
-        breadth-first closure of pair codes a |R| + b under
-        (a, b) s = (a l_s, b r_s), read off those tables, in the order
-        element-level closure would find it.
-        """
-        gens = list(gens)
-        if not gens:
-            raise InvalidArgument("need at least one generator")
-        if not all(isinstance(g, qt.Spin4Element) for g in gens):
-            raise WrongAmbient(
-                "generators must be Spin(4) elements; SO(4) groups come from to_so4"
-            )
-        # One conductor per group: element hashes are conductor-scoped, so the
-        # closure must never mix representations of the same value.
-        conductor = math.lcm(*(g.conductor() for g in gens))
-        gens = [g.lift(conductor) for g in gens]
-        one = qt.one_at(conductor)
-        lq, lcols = _factor_closure(one, [g.left for g in gens], cap)
-        rq, rcols = _factor_closure(one, [g.right for g in gens], cap)
-        width = len(rq)
-        lcols = [[a * width for a in col] for col in lcols]
-        codes = FiniteGroup.closure(
-            0, len(gens), lambda c, s: lcols[s][c // width] + rcols[s][c % width], cap
-        )
-        pairs = [divmod(c, width) for c in codes.elements]
-        elements = [qt.Spin4Element(lq[a], rq[b]) for a, b in pairs]
-        return cls(elements, codes.right, codes.parent, codes.gen, (lq, rq), pairs)
 
     def column_subgroup(self, ngens):
         """The subgroup generated by the first ``ngens`` generators, on these elements.
@@ -597,5 +558,34 @@ def _coset_closure(one, gens, cap):
 
 
 def generate_group(gens, cap=DEFAULT_GROUP_CAP):
-    """Closure of Spin(4) elements into a rotation group."""
-    return FiniteRotationGroup.generate_rotations(gens, cap=cap)
+    """Closure of Spin(4) elements into a rotation group, run on factor indices.
+
+    The group lies in L x R, with L and R the groups generated by the
+    left and the right quaternions, neither larger than it (Goursat).
+    L and R are closed exactly, each once on its distinct non-identity
+    generators and coset by coset of a cyclic subgroup, so the rest of
+    their tables is integer arithmetic; the group is then the
+    breadth-first closure of pair codes a |R| + b under
+    (a, b) s = (a l_s, b r_s), read off those tables, in the order
+    element-level closure would find it.
+    """
+    gens = list(gens)
+    if not gens:
+        raise InvalidArgument("need at least one generator")
+    if not all(isinstance(g, qt.Spin4Element) for g in gens):
+        raise WrongAmbient("generators must be Spin(4) elements; SO(4) groups come from to_so4")
+    # One conductor per group: element hashes are conductor-scoped, so the
+    # closure must never mix representations of the same value.
+    conductor = math.lcm(*(g.conductor() for g in gens))
+    gens = [g.lift(conductor) for g in gens]
+    one = qt.one_at(conductor)
+    lq, lcols = _factor_closure(one, [g.left for g in gens], cap)
+    rq, rcols = _factor_closure(one, [g.right for g in gens], cap)
+    width = len(rq)
+    lcols = [[a * width for a in col] for col in lcols]
+    codes = FiniteGroup.closure(
+        0, len(gens), lambda c, s: lcols[s][c // width] + rcols[s][c % width], cap
+    )
+    pairs = [divmod(c, width) for c in codes.elements]
+    elements = [qt.Spin4Element(lq[a], rq[b]) for a, b in pairs]
+    return FiniteRotationGroup(elements, codes.right, codes.parent, codes.gen, (lq, rq), pairs)

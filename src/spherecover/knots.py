@@ -102,7 +102,9 @@ def diagram_from_pd_tuples(tuples, name=""):
                 f"(expected {_succ(a, n2)}, got {c}); multi-component input?"
             )
         set_succ(a, c, t)
-        if d == _succ(b, n2):
+        # with two edges both directions of the over-strand look consecutive;
+        # b -> d is ruled out when b is the under-in edge, already followed by c
+        if d == _succ(b, n2) and b != a:
             sign = 1
             set_succ(b, d, t)
         elif b == _succ(d, n2):

@@ -274,9 +274,7 @@ def profile_distance(prof, a, b):
     return min(candidates)
 
 
-def validate_profile(
-    action, samples=100, seed=0, tol=RunConfig.tol_oracle, raise_on_mismatch=True
-):
+def validate_profile(action, samples=100, seed=0, tol=RunConfig.tol_oracle):
     """Max |closed-form geodesic distance - true orbit distance| over samples.
 
     This is the gate that earns the closed-form profile: failure above
@@ -302,7 +300,7 @@ def validate_profile(
             prof, quotient_coordinates(action, p), quotient_coordinates(action, q)
         )
         worst = max(worst, abs(oracle - modeled))
-    if raise_on_mismatch and worst > tol:
+    if worst > tol:
         raise OracleMismatch(
             f"profile for weights ({action.k},{action.l}) off by {worst:.3e} > {tol:g}"
         )

@@ -77,27 +77,6 @@ class GroupPresentation:
     def make(cls, ngens, relators):
         return cls(ngens, tuple(free_reduce(r) for r in relators))
 
-    def text(self):
-        rels = ", ".join(" ".join(str(l) for l in rel) for rel in self.relators)
-        return f"gens={self.ngens}; rel= {rels}"
-
-    @classmethod
-    def parse(cls, text):
-        head, _, tail = text.partition(";")
-        if not head.strip().startswith("gens="):
-            raise ValidationError("presentation text must start with 'gens=n;'")
-        tail = tail.strip()
-        if not tail.startswith("rel="):
-            raise ValidationError("presentation text needs 'rel=' relator list")
-        body = tail[len("rel="):].strip()
-        chunks = body.split(",") if body else []
-        try:
-            ngens = int(head.strip()[len("gens="):])
-            relators = [tuple(int(t) for t in chunk.split()) for chunk in chunks]
-        except ValueError as exc:
-            raise ValidationError(f"presentation text has a non-integer field: {exc}") from None
-        return cls.make(ngens, relators)
-
 
 # -- knot presentations -----------------------------------------------------------
 

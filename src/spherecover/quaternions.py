@@ -169,10 +169,6 @@ class Spin4Element:
     def __neg__(self):
         return Spin4Element(-self.left, -self.right)
 
-    def apply(self, x):
-        """Image of the quaternion x under the rotation."""
-        return self.left * x * self.right.inverse()
-
     def lift(self, conductor):
         return Spin4Element(self.left.lift(conductor), self.right.lift(conductor))
 
@@ -205,15 +201,13 @@ class RotationClass:
     The stored representative flips signs so that the first coordinate of
     the left factor with nonzero canonical form is positive (the left
     factor of a unit pair always has one, so the right factor is only a
-    defensive fallback).  A caller that already holds ``-element`` passes
-    it as ``partner``, and the representative is then picked from the pair
-    with no negation made.
+    defensive fallback).
     """
 
     __slots__ = ("rep", "_hash")
 
-    def __init__(self, element, partner=None):
-        self.rep = self._normalize(element, partner)
+    def __init__(self, element):
+        self.rep = self._normalize(element)
         self._hash = None
 
     @classmethod
@@ -225,10 +219,10 @@ class RotationClass:
         return c
 
     @staticmethod
-    def _normalize(element, partner):
+    def _normalize(element):
         s = leading_sign(element.left) or leading_sign(element.right)
         if s < 0:
-            return -element if partner is None else partner
+            return -element
         if s > 0:
             return element
         raise InternalInconsistency("sign-normalizing a zero pair")
@@ -238,9 +232,6 @@ class RotationClass:
             return NotImplemented
         return RotationClass(self.rep * other.rep)
 
-    def inverse(self):
-        return RotationClass(self.rep.inverse())
-
     def lift(self, conductor):
         return RotationClass(self.rep.lift(conductor))
 
@@ -249,9 +240,6 @@ class RotationClass:
 
     def is_identity(self):
         return self.rep.is_identity()
-
-    def apply(self, x):
-        return self.rep.apply(x)
 
     def __eq__(self, other):
         if not isinstance(other, RotationClass):

@@ -94,7 +94,7 @@ def binary_icosahedral_generators():
 
 def octahedral_extra_generator():
     """(i+j)/sqrt(2), the octahedral unit that must NOT join the list above."""
-    r = cy.sqrt2().inv()
+    r = cy.cos_tau(1, 8)  # 1/sqrt(2)
     return qt.quat(0, r, r, 0)
 
 

@@ -60,7 +60,7 @@ def branched_cover_group(outcome):
         raise NotIndexTwo("meridian parity map is not onto Z/2")
     gens = group.gens_idx
     t = gens[0]
-    t_inv = group.iinv(t)
+    t_inv = group.inverse[t]
     schreier = [x for g in gens for x in (group.imul(g, t_inv), group.imul(t, g))]
     kernel = subgroup(group, schreier)
     if 2 * len(kernel) != len(group):

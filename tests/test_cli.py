@@ -123,13 +123,17 @@ def test_orbit_validate_weight_limit_exits_one():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # numpy too: only the orbit oracle imports it, on first call
+    # numpy too: only the orbit oracle imports it, on first call; and mpmath,
+    # which only the interval fallback of ExactScalar.sign loads
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    probe = "import sys, spherecover.cli; print('scipy' in sys.modules, 'numpy' in sys.modules)"
+    probe = (
+        "import sys, spherecover.cli; "
+        "print(*(m in sys.modules for m in ('scipy', 'numpy', 'mpmath')))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False False"
+    assert done.stdout.strip() == "False False False"
 
 
 def test_internal_inconsistency_has_its_own_exit(monkeypatch, tmp_path):

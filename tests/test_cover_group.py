@@ -146,7 +146,7 @@ def involutive_presentations(draw):
 @given(involutive_presentations())
 def test_small_involutive_presentations_match_the_oracle(pres):
     outcome = pr.todd_coxeter(pres, CAP)
-    assert outcome.finite, pres.text()
+    assert outcome.finite, pres
     assert_matches_oracle(outcome)
 
 

@@ -78,6 +78,25 @@ def test_parse_empty_pd_is_unknot():
     assert kn.h1_double_cover(d) == AbelianGroup()
 
 
+KINKS = {
+    # one crossing on two edges: either over-strand direction looks consecutive
+    "pd-1221": (lambda: kn.diagram_from_pd_tuples([(1, 2, 2, 1)]), 1),
+    "pd-2112": (lambda: kn.diagram_from_pd_tuples([(2, 1, 1, 2)]), 1),
+    "pd-1122": (lambda: kn.diagram_from_pd_tuples([(1, 1, 2, 2)]), -1),
+    "pd-2211": (lambda: kn.diagram_from_pd_tuples([(2, 2, 1, 1)]), -1),
+    "braid-s1-inverse": (lambda: kn.braid_to_diagram(kn.BraidWord(2, (-1,))), -1),
+}
+
+
+@pytest.mark.parametrize("make, sign", KINKS.values(), ids=KINKS.keys())
+def test_one_crossing_kinks_are_unknots(make, sign):
+    d = make()
+    assert [cr.sign for cr in d.crossings] == [sign]
+    assert d.arc_count == 1
+    assert kn.determinant(d) == 1
+    assert kn.h1_double_cover(d) == AbelianGroup()
+
+
 def test_parse_dt_trefoil_and_fig8():
     t = kn.parse_dt("4 6 2")
     assert kn.determinant(t) == 3

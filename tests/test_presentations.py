@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherecover import analyzer as an
@@ -25,26 +25,12 @@ def test_free_and_cyclic_reduction():
     assert pr.cyclic_reduce((1, 2, 2, -1)) == (2, 2)
 
 
-def test_presentation_text_roundtrip():
-    p = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2, 1, 2)])
-    q = pr.GroupPresentation.parse(p.text())
-    assert q == p
-    with pytest.raises(ValidationError):
-        pr.GroupPresentation.make(1, [(2,)])
-
-
 def test_presentation_rejects_negative_generator_count():
     with pytest.raises(ValidationError, match="negative"):
-        pr.GroupPresentation.parse("gens=-1; rel=")
-    with pytest.raises(ValidationError, match="negative"):
         pr.GroupPresentation.make(-1, [])
-    assert pr.GroupPresentation.parse("gens=0; rel=").ngens == 0
-
-
-@pytest.mark.parametrize("text", ["gens=x; rel= 1", "gens=2; rel= 1 a", "gens=; rel="])
-def test_presentation_parse_rejects_non_integers(text):
-    with pytest.raises(ValidationError, match="non-integer"):
-        pr.GroupPresentation.parse(text)
+    assert pr.GroupPresentation.make(0, []).ngens == 0
+    with pytest.raises(ValidationError, match="out of range"):
+        pr.GroupPresentation.make(1, [(2,)])
 
 
 # -- Wirtinger and quotients ----------------------------------------------------
@@ -249,9 +235,6 @@ def knot_braids(draw):
 @settings(max_examples=150, deadline=None)
 @given(knot_braids())
 def test_reduction_matches_the_oracle_on_random_braids(braid):
-    # braid_to_diagram rejects this one-crossing kink of the unknot (a
-    # defect of its own, listed in CHANGES.md); it has nothing to reduce
-    assume(braid != kn.BraidWord(2, (-1,)))
     assert_matches_the_bridge_oracle(kn.braid_to_diagram(braid))
 
 
@@ -522,7 +505,7 @@ def test_flat_table_matches_the_oracle_on_the_test_presentations():
     s4 = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2) * 4])
     cases += [(s4, cap) for cap in (10_000, 26, 25, 1)]
     for pres, cap in cases:
-        assert pr.todd_coxeter(pres, cap) == tc_oracle.todd_coxeter(pres, cap), pres.text()
+        assert pr.todd_coxeter(pres, cap) == tc_oracle.todd_coxeter(pres, cap), pres
 
 
 @pytest.mark.parametrize("ngens", [1, 2, 3])
@@ -533,7 +516,7 @@ def test_flat_table_matches_the_oracle_on_random_presentations(ngens, squares):
         pres = random_presentation(rng, ngens, squares)
         for cap in (50, 500, 5000):
             ours = pr.todd_coxeter(pres, cap)
-            assert ours == tc_oracle.todd_coxeter(pres, cap), (pres.text(), cap)
+            assert ours == tc_oracle.todd_coxeter(pres, cap), (pres, cap)
 
 
 # -- gap fill against the oracle -------------------------------------------------------
@@ -559,24 +542,26 @@ def assert_matches_the_oracle_at_the_peak(pres, cap):
     """Equal tables at ``cap``, at the run's peak live count and one below it."""
     peak = peak_live_cosets(pres, cap)
     for c in {cap, peak, max(peak - 1, 1)}:
-        assert pr.todd_coxeter(pres, c) == tc_oracle.todd_coxeter(pres, c), (pres.text(), c)
+        assert pr.todd_coxeter(pres, c) == tc_oracle.todd_coxeter(pres, c), (pres, c)
 
 
 GAP_CASES = {
     # a a inside a longer word, a squared: the fresh coset made for the
     # first a already has the entry the second a follows
-    "squared-letter-pair": ("gens=2; rel= 1 1, -2 -2 -2 1 1 1 -2 1", 16, 19),
+    "squared-letter-pair": (2, [(1, 1), (-2, -2, -2, 1, 1, 1, -2, 1)], 16, 19),
     # the last word starts and ends with the squared b, so the gap's first
     # definition at coset 0 is also the backward trace's next step
-    "backward-step": ("gens=3; rel= 1 1, 2 2, 3 3, 2 1 2 3 1 3 2 3 2", 8, 48),
+    "backward-step": (3, [(1, 1), (2, 2), (3, 3), (2, 1, 2, 3, 1, 3, 2, 3, 2)], 8, 48),
     # one below the peak the cap falls inside a gap of several letters
-    "cap-inside-a-gap": ("gens=2; rel= 1 1, 2 2 2, 1 2 1 2 1 2 1 2 1 -2", 3, 24),
+    "cap-inside-a-gap": (2, [(1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2, 1, 2, 1, -2)], 3, 24),
 }
 
 
-@pytest.mark.parametrize("text, order, peak", GAP_CASES.values(), ids=GAP_CASES.keys())
-def test_gap_fill_matches_the_oracle_at_the_peak(text, order, peak):
-    pres = pr.GroupPresentation.parse(text)
+@pytest.mark.parametrize(
+    "ngens, relators, order, peak", GAP_CASES.values(), ids=GAP_CASES.keys()
+)
+def test_gap_fill_matches_the_oracle_at_the_peak(ngens, relators, order, peak):
+    pres = pr.GroupPresentation.make(ngens, relators)
     assert peak_live_cosets(pres, 10_000) == peak
     assert pr.todd_coxeter(pres, peak).order == order
     assert not pr.todd_coxeter(pres, peak - 1).finite
