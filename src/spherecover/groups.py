@@ -316,21 +316,34 @@ class FiniteGroup:
         With w(x) the tree word of x, every edge (x, s) gives the relator
         w(x) s w(xs)^-1.  These generate the relation module of the
         generators, so their exponent-sum rows present G/[G,G] exactly.
+        Each element's tree exponent counts are packed into one int, as
+        digits in base 2|G| + 1; a count lies in [0, |G|), so every digit of
+        a relator row lies in [-|G|, |G|] and the row is one int
+        subtraction.  A tree edge packs to 0, and only distinct nonzero
+        rows are decoded.
         """
-        ngens = len(self.right)
-        counts = [(0,) * ngens]
-        for x in range(1, len(self)):
-            row = list(counts[self.parent[x]])
-            row[self.gen[x]] += 1
-            counts.append(tuple(row))
-        rows = set()
-        for s, col in enumerate(self.right):
-            for x, y in enumerate(col):
-                row = [a - b for a, b in zip(counts[x], counts[y])]
-                row[s] += 1
-                if any(row):
-                    rows.add(tuple(row))
-        return cokernel(sorted(rows), ngens)
+        n = len(self)
+        base = 2 * n + 1
+        units = [base**s for s in range(len(self.right))]
+        parent, gen = self.parent, self.gen
+        packed = [0] * n
+        for x in range(1, n):
+            packed[x] = packed[parent[x]] + units[gen[x]]
+        keys = set()
+        for unit, col in zip(units, self.right):
+            keys |= {packed[x] + unit - packed[y] for x, y in enumerate(col)}
+        keys.discard(0)
+        rows = []
+        for key in keys:
+            row = {}
+            s = 0
+            while key:
+                key, digit = divmod(key + n, base)
+                if digit != n:
+                    row[s] = digit - n
+                s += 1
+            rows.append(row)
+        return cokernel(rows, len(units))
 
 
 # -- rotation groups --------------------------------------------------------------

@@ -643,9 +643,22 @@ def determinant(diagram):
 
 
 def h1_double_cover(diagram):
-    """Full homology of the double branched cover via Smith normal form."""
+    """Full homology of the double branched cover via Smith normal form.
+
+    The deleted crossing rows are built sparse, straight from the crossings:
+    the last row and the last arc column are left out.
+    """
     n = diagram.crossing_count
     if n == 0:
         return AbelianGroup()
-    rows = [row[: n - 1] for row in _crossing_arc_matrix(diagram)[: n - 1]]
-    return cokernel(rows, n - 1)
+    arcs = diagram.arc_of_edge
+    last = n - 1
+    rows = []
+    for cr in diagram.crossings[:last]:
+        row = {}
+        for edge, v in ((cr.over_edges[0], 2), (cr.under_in, -1), (cr.under_out, -1)):
+            a = arcs[edge]
+            if a < last:
+                row[a] = row.get(a, 0) + v
+        rows.append(row)
+    return cokernel(rows, last)

@@ -1,7 +1,10 @@
 """Exact integer linear algebra: abelian invariants, determinants, Smith form.
 
-Determinants use Bareiss fraction-free elimination; Smith normal form uses
-naive gcd pivoting on big integers, so there is no overflow to guard.
+Determinants use Bareiss fraction-free elimination on dense rows.  Smith
+normal form eliminates on sparse rows (``{column: nonzero int}``): ±1
+pivots first, each of least fill, then Euclid steps and a corner
+divisibility step on the rest, on big integers, so there is no overflow to
+guard.  The two share no code, so a determinant checks a Smith form.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ class AbelianGroup:
 def integer_determinant(rows):
     """Bareiss fraction-free determinant of a square integer matrix."""
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InvalidArgument(f"determinant of a non-square matrix with {n} rows")
     if n == 0:
         return 1
     a = [list(map(int, r)) for r in rows]
@@ -80,76 +85,118 @@ def integer_determinant(rows):
     return sign * a[-1][-1]
 
 
-def smith_normal_form(rows, ncols=None):
-    """Diagonal invariant factors of an integer matrix by gcd pivoting.
+def _subtract(mat, cols, k, i, q):
+    """Row k -= q * row i, keeping the column index ``cols`` in step."""
+    target = mat[k]
+    for j, v in mat[i].items():
+        w = target.get(j, 0) - q * v
+        if w:
+            if j not in target:
+                cols[j].add(k)
+            target[j] = w
+        else:
+            del target[j]
+            cols[j].discard(k)
+    if not target:
+        del mat[k]
 
-    Returns the list ``[d_1, d_2, ...]`` of positive diagonal entries with
-    ``d_1 | d_2 | ...``; zero rows/columns contribute nothing.  Entries are
+
+def _pivot(mat, cols):
+    """An entry of least magnitude, and among those one of least Markowitz cost.
+
+    The cost of entry (i, j) is (r - 1)(c - 1), for r entries in row i and
+    c in column j: the fill its elimination can make.
+    """
+    best = None
+    least = 0
+    for i, row in mat.items():
+        r = len(row) - 1
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                cost = r * (len(cols[j]) - 1)
+                if not cost:
+                    return i, j
+                if best is None or cost < least:
+                    best, least = (i, j), cost
+    if best is not None:
+        return best
+    least = None
+    for i, row in mat.items():
+        r = len(row) - 1
+        for j, v in row.items():
+            key = (abs(v), r * (len(cols[j]) - 1))
+            if best is None or key < least:
+                best, least = (i, j), key
+    return best
+
+
+def smith_normal_form(rows, ncols):
+    """Diagonal invariant factors of a sparse integer matrix.
+
+    ``rows`` are mappings ``{column: int}`` over ``range(ncols)``; zero
+    entries are dropped.  Returns the list ``[d_1, d_2, ...]`` of positive
+    diagonal entries with ``d_1 | d_2 | ...``, one per unit of rank.  Each
+    pivot is an entry of least magnitude, so every ±1 comes first, and among
+    equals the one of least fill, (r - 1)(c - 1) for r entries in its row
+    and c in its column.  Row operations touch only the rows of the pivot's
+    column; a remainder becomes the next pivot (Euclid), and a corner that
+    fails to divide a remaining entry takes that entry's row.  Entries are
     Python ints, so there is no overflow to guard beyond memory.
     """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = ncols if ncols is not None else (len(a[0]) if m else 0)
+    columns = range(ncols)
+    mat = {}
+    cols = {}
+    for i, row in enumerate(rows):
+        entries = {}
+        for j, v in row.items():
+            if j not in columns:
+                raise InvalidArgument(f"column {j!r} is outside range({ncols})")
+            if v:
+                entries[j] = int(v)
+                cols.setdefault(j, set()).add(i)
+        if entries:
+            mat[i] = entries
     diags = []
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
+    while mat:
+        i, j = _pivot(mat, cols)
         while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
+            p = mat[i][j]
+            for k in [k for k in cols[j] if k != i]:
+                q = mat[k][j] // p
+                if q:
+                    _subtract(mat, cols, k, i, q)
+            d = abs(p)
+            if d == 1:
+                break
+            rest = [k for k in cols[j] if k != i]
+            if rest:
+                i = min(rest, key=lambda k: abs(mat[k][j]))
                 continue
-            # clear row t
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
+            # column j holds only the pivot, so a column operation changes one entry
+            row = mat[i]
+            rest = []
+            for l in [l for l in row if l != j]:
+                r = row[l] % p
+                if r:
+                    row[l] = r
+                    rest.append(l)
+                else:
+                    del row[l]
+                    cols[l].discard(i)
+            if rest:
+                j = min(rest, key=lambda l: abs(row[l]))
+                continue
+            # the corner must divide the rest of the matrix
+            offender = next(
+                (k for k, other in mat.items() if any(v % d for v in other.values())), None
+            )
+            if offender is None:
                 break
-        # the corner must divide the rest of the submatrix
-        d = abs(a[t][t])
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, n):
-                a[t][j] += a[offender][j]
-            continue
+            _subtract(mat, cols, i, offender, -1)
+        # a ±1 pivot clears its row by column operations that change no other row
         diags.append(d)
-        t += 1
-        if t >= m or t >= n:
-            break
+        for l in mat.pop(i):
+            cols[l].discard(i)
     for x, y in zip(diags, diags[1:]):
         if y % x:
             raise InternalInconsistency(f"invariant factor chain broken: {x}, {y}")
@@ -157,7 +204,7 @@ def smith_normal_form(rows, ncols=None):
 
 
 def cokernel(rows, ncols):
-    """Cokernel of Z^cols -> Z^cols / rowspan(rows) as an AbelianGroup."""
+    """Cokernel of Z^ncols / rowspan(rows) as an AbelianGroup; rows are ``{column: int}``."""
     diags = smith_normal_form(rows, ncols)
     rank = ncols - len(diags)
     return AbelianGroup.from_factors(diags, rank)

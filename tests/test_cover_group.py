@@ -22,6 +22,7 @@ from spherecover.errors import InternalInconsistency, NotIndexTwo
 from spherecover.groups import FiniteGroup
 
 import cover_oracle
+import snf_oracle
 
 CAP = 5000  # every finite cover below enumerates well inside it
 
@@ -69,6 +70,17 @@ def test_every_finite_corpus_row_matches_the_oracle():
         outcome = orbifold_table(an.diagram_from_payload(fmt, payload, name=name))
         if outcome.finite:
             assert_matches_oracle(outcome)
+            finite += 1
+    assert finite == 13
+
+
+def test_cover_abelianization_equals_the_dense_oracle_on_the_corpus():
+    finite = 0
+    for name, fmt, payload in an.parse_corpus(packaged_corpus_text()):
+        outcome = orbifold_table(an.diagram_from_payload(fmt, payload, name=name))
+        if outcome.finite:
+            _, cover = pr.branched_cover_group(outcome)
+            assert cover.abelianization() == snf_oracle.dense_abelianization(cover), name
             finite += 1
     assert finite == 13
 

@@ -22,6 +22,8 @@ from spherecover.spaceforms import (
     octahedral_extra_generator,
 )
 
+import snf_oracle
+
 
 def spin_left(q):
     return qt.Spin4Element(q, qt.quat_one())
@@ -416,6 +418,43 @@ def test_sweep_groups_match_the_recorded_digest(sweep_certs):
             h.update(repr([repr(e) for e in g.elements]).encode())
             h.update(repr((g.right, g.parent, g.gen)).encode())
     assert h.hexdigest() == SWEEP_GROUPS_SHA256
+
+
+def test_abelianization_equals_the_dense_oracle_over_the_sweep(sweep_certs):
+    for cert in sweep_certs:
+        for g in (cert.pi, cert.pi_hat, cert.gamma_hat, cert.gamma):
+            assert g.abelianization() == snf_oracle.dense_abelianization(g), cert.spec
+
+
+def _cyclic(n):
+    """Z/n on one generator, whose tree is a path of length n - 1."""
+    return FiniteGroup.map_closure([[(x + 1) % n for x in range(n)]], n)
+
+
+def _dihedral(m):
+    """D_2m on codes 2k + e for r^k f^e, closed under right products by r, f and r f."""
+    r = [2 * ((x // 2 + (1 if x % 2 == 0 else -1)) % m) + x % 2 for x in range(2 * m)]
+    f = [x ^ 1 for x in range(2 * m)]
+    return FiniteGroup.map_closure([r, f, [f[y] for y in r]], 2 * m)
+
+
+# The cyclic group's relator s^997 reaches the largest digit |G| the packing
+# must hold; the dihedral groups carry across three digits.
+@pytest.mark.parametrize(
+    "make, order, expected",
+    [
+        (lambda: _cyclic(997), 997, "Z/997"),
+        (lambda: _dihedral(251), 502, "Z/2"),
+        (lambda: _dihedral(256), 512, "Z/2 x Z/2"),
+    ],
+    ids=["cyclic-997", "dihedral-502", "dihedral-512"],
+)
+def test_abelianization_packing_holds_large_digits(make, order, expected):
+    g = make()
+    assert len(g) == order
+    ab = g.abelianization()
+    assert str(ab) == expected
+    assert ab == snf_oracle.dense_abelianization(g)
 
 
 def test_sweep_reaches_to_so4_with_and_without_minus_one(sweep_certs):

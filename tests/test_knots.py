@@ -1,10 +1,16 @@
 import math
+import random
 
 import pytest
 
+from spherecover import analyzer as an
 from spherecover import knots as kn
+from spherecover.config import packaged_corpus_text
 from spherecover.errors import NotAKnot, ParseError, SpecViolation, ValidationError
 from spherecover.linalg import AbelianGroup, integer_determinant
+
+import snf_oracle
+from test_cover_group import markov_torus_braid
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -330,6 +336,43 @@ def test_h1_matches_determinant():
     ]:
         h = kn.h1_double_cover(d)
         assert h.order() == kn.determinant(d)
+
+
+# The corpus and the benchmark's row families: b(p, q) and T(2, n) for odd
+# p, n <= 31, Markov-moved T(3, 4) and T(3, 5), the capped torus braids and
+# the three odd pretzels with their tangles permuted.
+H1_FAMILIES = {
+    "corpus": lambda: [
+        an.diagram_from_payload(fmt, payload, name=name)
+        for name, fmt, payload in an.parse_corpus(packaged_corpus_text())
+    ],
+    "two-bridge": lambda: [
+        kn.two_bridge(p, q)
+        for p in range(3, 32, 2)
+        for q in range(1, p)
+        if math.gcd(p, q) == 1
+    ],
+    "torus-2-n": lambda: [kn.braid_to_diagram(kn.torus_knot(2, n)) for n in range(3, 32, 2)],
+    "markov-torus-3": lambda: [
+        kn.braid_to_diagram(markov_torus_braid(rng, q))
+        for q in (4, 5)
+        for rng in [random.Random(q)]
+        for _ in range(8)
+    ],
+    "capped-torus": lambda: [
+        kn.braid_to_diagram(kn.torus_knot(p, q)) for p, q in ((3, 7), (3, 8), (4, 5))
+    ],
+    "pretzel": lambda: [
+        kn.montesinos(0, [(1, a) for a in triple])
+        for triple in ((3, 3, 5), (3, 5, 3), (3, 5, 5), (5, 3, 5), (3, 5, 7), (7, 3, 5))
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(H1_FAMILIES))
+def test_h1_double_cover_equals_the_dense_path(family):
+    for d in H1_FAMILIES[family]():
+        assert kn.h1_double_cover(d) == snf_oracle.dense_h1(d), d.name
 
 
 def test_determinants_odd_on_generated_family():

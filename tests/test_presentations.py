@@ -15,6 +15,7 @@ from spherecover.linalg import AbelianGroup, cokernel
 
 import bridge_oracle
 import tc_oracle
+from snf_oracle import sparse_rows
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -44,7 +45,7 @@ def abelianize(pres):
         for letter in rel:
             row[abs(letter) - 1] += 1 if letter > 0 else -1
         rows.append(row)
-    return cokernel(rows, pres.ngens)
+    return cokernel(sparse_rows(rows), pres.ngens)
 
 
 def test_wirtinger_unknot():
@@ -655,7 +656,7 @@ def rs_kernel_abelianization(pres):
     tree = [0] * (2 * ngens)
     tree[idx(0, 1)] = 1
     rows.append(tree)
-    return cokernel(rows, 2 * ngens)
+    return cokernel(sparse_rows(rows), 2 * ngens)
 
 
 @pytest.mark.parametrize(
