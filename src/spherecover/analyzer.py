@@ -81,10 +81,15 @@ class CoverReport:
 def classify_finite(group, abelianization):
     """Place a finite cover group into the cyclic/tetrahedral/icosahedral trichotomy.
 
-    ``abelianization`` is the group's own, computed once by the caller.
+    ``abelianization`` is the group's own, computed once by the caller;
+    its order times |G'| must be |G|, which ties the Smith form to the
+    derived series.
     """
     series = group.derived_series()
     sizes = [len(s) for s in series]
+    ab = abelianization.order()
+    if ab is None or ab * sizes[1] != group.order:
+        raise InternalInconsistency(f"|G'| {sizes[1]} * |G^ab| {ab} is not |G| {group.order}")
     if sizes[-1] == 1:
         if len(sizes) == 2:  # derived subgroup already trivial: abelian
             if len(abelianization.torsion) > 1:
@@ -225,10 +230,6 @@ def count_violations(records):
 class CorpusSummary:
     reports: list
     row_errors: int
-
-    @property
-    def violations(self):
-        return count_violations(r.to_record() for r in self.reports)
 
 
 def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP):

@@ -442,10 +442,6 @@ def sin_tau(num, den):
     return cos_tau(den - 4 * num, 4 * den)
 
 
-def sqrt2():
-    return scalar_make(8, {1: 1, 7: 1})
-
-
 def golden_ratio():
     """(1 + sqrt(5)) / 2, equal to 1 + zeta_5 + zeta_5^4."""
     return scalar_make(5, {0: 1, 1: 1, 4: 1})

@@ -54,18 +54,18 @@ class FiniteGroup:
         """Position of each element, for lookups by element."""
         return {e: i for i, e in enumerate(self.elements)}
 
+    def _left_column(self, g):
+        """Left multiplication by g: g * (p * t) = (g * p) * t follows the tree."""
+        right, parent, gen = self.right, self.parent, self.gen
+        col = [g] * len(self.elements)
+        for x in range(1, len(col)):
+            col[x] = right[gen[x]][col[parent[x]]]
+        return col
+
     @cached_property
     def left(self):
-        """Left generator columns: s * (p * t) = (s * p) * t follows the tree."""
-        right, parent, gen = self.right, self.parent, self.gen
-        n = len(self.elements)
-        out = []
-        for col in right:
-            lcol = [col[0]] * n
-            for x in range(1, n):
-                lcol[x] = right[gen[x]][lcol[parent[x]]]
-            out.append(lcol)
-        return out
+        """Left generator columns, one :meth:`_left_column` per generator."""
+        return [self._left_column(col[0]) for col in self.right]
 
     @cached_property
     def inverse(self):
@@ -191,29 +191,18 @@ class FiniteGroup:
 
     # -- subgroup machinery ---------------------------------------------------
 
-    def _check_lagrange(self, idxs):
-        if len(self) % len(idxs):
-            raise InternalInconsistency(
-                f"subgroup order {len(idxs)} does not divide group order {len(self)}"
-            )
-        return idxs
+    def _conjugation_closure(self, seed):
+        """Close a set of indices, in place, under conjugation by the generators.
 
-    def _conjugation_closure(self, seed, by=None):
-        """Close a set of indices, in place, under x -> g^-1 x g for g in ``by``.
-
-        By default g runs over the generators, where conjugation is four
-        table lookups: s^-1 x s = ((x^-1 s)^-1) s.
+        Conjugation by generator s is four table lookups:
+        s^-1 x s = ((x^-1 s)^-1) s.
         """
-        inverse = self.inverse
-        if by is None:
-            maps = [lambda x, c=col: c[inverse[c[inverse[x]]]] for col in self.right]
-        else:
-            maps = [lambda x, g=g: self.imul(self.imul(inverse[g], x), g) for g in by]
+        inverse, columns = self.inverse, self.right
         queue = list(seed)
         while queue:
             x = queue.pop()
-            for conj in maps:
-                y = conj(x)
+            for col in columns:
+                y = col[inverse[col[inverse[x]]]]
                 if y not in seed:
                     seed.add(y)
                     queue.append(y)
@@ -233,80 +222,60 @@ class FiniteGroup:
             remaining.difference_update(cls)
         return out
 
-    def subgroup_closure(self, idxs):
-        """Smallest subgroup containing the given indices."""
-        return self._check_lagrange(tuple(sorted(self._closure_incremental(idxs)[0])))
-
     def _closure_incremental(self, idxs):
-        """Closure that keeps only non-redundant generators; returns (set, gens).
+        """:func:`greedy_closure` of the given elements/indices in index order.
 
-        A subgroup of order more than |G|/2 is G itself (Lagrange), which
-        lets the final growth round stop early.
+        Returns (set, kept generators), and raises InternalInconsistency
+        when the closure's order does not divide |G| (Lagrange).
         """
         seed = sorted({self._as_index(i) for i in idxs})
-        members = {self.identity_idx}
-        kept = []
-        whole = len(self.elements)
-        for s in seed:
-            if s in members:
-                continue
-            kept.append(s)
-            queue = list(members)
-            while queue:
-                x = queue.pop()
-                for g in kept:
-                    y = self.imul(x, g)
-                    if y not in members:
-                        members.add(y)
-                        queue.append(y)
-                if 2 * len(members) > whole:
-                    return set(range(whole)), kept
+        members, kept = greedy_closure(seed, self.imul, len(self))
+        if len(self) % len(members):
+            raise InternalInconsistency(
+                f"subgroup order {len(members)} does not divide group order {len(self)}"
+            )
         return members, kept
 
     def normal_closure(self, idxs):
         """Smallest normal subgroup containing the given elements/indices."""
         seed = self._conjugation_closure({self._as_index(i) for i in idxs})
         # the subgroup generated by a conjugation-closed set is normal
-        return self.subgroup_closure(seed)
+        return tuple(sorted(self._closure_incremental(seed)[0]))
 
-    def small_generating_set(self, idxs):
-        """Greedy small generating subset of a subgroup's element list."""
-        members, kept = self._closure_incremental(idxs)
-        if members != {self._as_index(i) for i in idxs} | {self.identity_idx}:
-            raise InternalInconsistency("input was not a subgroup")
-        return kept or [self.identity_idx]
+    def _derived(self, gens):
+        """[H, H] for the normal subgroup H generated by ``gens``: (set, kept generators).
 
-    def derived_subgroup(self, sub=None):
-        """Commutator subgroup of G, or of the subgroup ``sub``."""
-        gens = self.gens_idx if sub is None else self.small_generating_set(sub)
-        by = None if sub is None else gens
-        inverse = self.inverse
-        commutators = {
-            self.imul(self.imul(a, b), self.imul(inverse[a], inverse[b]))
-            for a in gens
-            for b in gens
-        }
-        # normal closure inside the subgroup generated by gens
-        result = self.subgroup_closure(self._conjugation_closure(commutators, by))
-        members = set(result)
-        if self._conjugation_closure(set(members), by) != members:
+        [H, H] is characteristic in H, so normal in G, and it is the normal
+        closure in G of the commutators of any generating set of H (Holt,
+        Eick and O'Brien, Handbook of Computational Group Theory, 3.3).
+        """
+        imul, inverse = self.imul, self.inverse
+        commutators = {imul(imul(a, b), imul(inverse[a], inverse[b])) for a in gens for b in gens}
+        members, kept = self._closure_incremental(self._conjugation_closure(commutators))
+        if self._conjugation_closure(set(members)) != members:
             raise InternalInconsistency("derived subgroup is not normal")
-        return result
+        return members, kept
+
+    def derived_subgroup(self):
+        """Commutator subgroup [G, G], as a sorted tuple of indices."""
+        return tuple(sorted(self._derived(self.gens_idx)[0]))
 
     def derived_series(self):
-        """Subgroup chain G >= G' >= G'' >= ... until it stabilizes."""
+        """Subgroup chain G >= G' >= G'' >= ... until it stabilizes.
+
+        Each term is a normal closure in G of the commutators of the
+        generators the previous term's closure kept.  A perfect G gives
+        [G, G], the trivial group included; a series that stabilizes at a
+        proper perfect subgroup lists that subgroup once.
+        """
         series = [tuple(range(len(self)))]
-        current = None
+        gens = self.gens_idx
         while True:
-            nxt = self.derived_subgroup(current)
-            if current is not None and set(nxt) == set(current):
+            members, gens = self._derived(gens)
+            if len(series) > 1 and len(members) == len(series[-1]):
                 break
-            if current is None and len(nxt) == len(self):
-                series.append(nxt)
-                break
-            series.append(nxt)
-            current = nxt
-            if len(current) == 1:
+            series.append(tuple(sorted(members)))
+            if len(members) in (1, len(self)):
                 break
         return series
 
@@ -344,6 +313,33 @@ class FiniteGroup:
                 s += 1
             rows.append(row)
         return cokernel(rows, len(units))
+
+
+def greedy_closure(candidates, product, size):
+    """Close 0 under the candidates that enlarge the closure, in order.
+
+    ``product(x, k)`` is x times candidate k on the indices
+    ``range(size)`` of a group.  A subgroup of more than size/2 elements
+    is the whole group (Lagrange), which lets the final growth round stop
+    early.  Returns the member set and the kept candidates.
+    """
+    members = {0}
+    kept = []
+    for k in candidates:
+        if k in members:
+            continue
+        kept.append(k)
+        queue = list(members)
+        while queue:
+            x = queue.pop()
+            for g in kept:
+                y = product(x, g)
+                if y not in members:
+                    members.add(y)
+                    queue.append(y)
+            if 2 * len(members) > size:
+                return set(range(size)), kept
+    return members, kept
 
 
 # -- rotation groups --------------------------------------------------------------
@@ -408,9 +404,9 @@ class FiniteRotationGroup(FiniteGroup):
         """Image in SO(4): each element is paired with its product by -1.
 
         Classes keep the order of their first member, and the table and
-        tree are the Spin-level ones read through the pairing.  The partner
-        of x = p s is x (-1) = (p (-1)) s, as -1 is central, so partners
-        follow the tree.  :class:`~spherecover.quaternions.RotationClass`
+        tree are the Spin-level ones read through the pairing.  As -1 is
+        central, the partner x (-1) = (-1) x of every x is the left column
+        of -1.  :class:`~spherecover.quaternions.RotationClass`
         picks a representative by the sign of its left factor alone, read
         here once per left factor index, and from the pair {x, -x} of group
         elements, so no scalar is negated.  Without -1 in the group, a
@@ -421,11 +417,7 @@ class FiniteRotationGroup(FiniteGroup):
         n = len(self)
         m = qt.quat(-1, check=False).lift(self.elements[self.identity_idx].conductor())
         minus = self.index.get(qt.Spin4Element(m, m))  # -1, made with no negation
-        partner = None
-        if minus is not None:
-            partner = [minus] * n
-            for x in range(1, n):
-                partner[x] = self.right[self.gen[x]][partner[self.parent[x]]]
+        partner = None if minus is None else self._left_column(minus)
         image = [-1] * n
         firsts = []
         for x in range(n):

@@ -284,6 +284,8 @@ def validate_profile(action, samples=100, seed=0, tol=RunConfig.tol_oracle):
 
     if samples < 1:
         raise SpecViolation("the oracle needs at least one sample")
+    if seed < 0:
+        raise SpecViolation(f"seed {seed} is negative")
     rng = np.random.default_rng(seed)
     prof = profile(action)
     worst = 0.0

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotIndexTwo, ValidationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, greedy_closure
 
 DEFAULT_COSET_CAP = 200_000
 MAX_RELATOR_LENGTH = 128  # Tietze elimination stops before a longer relator
@@ -429,6 +429,26 @@ class _Enumerator:
         return table
 
 
+def _search(perms, n):
+    """Breadth-first search of a coset table from coset 0.
+
+    Returns the cosets in the order it reaches them and, per coset, the
+    parity of its depth (-1 where unreached).  A permutation's inverse is
+    one of its powers, so the columns alone reach the whole orbit.
+    """
+    parity = [-1] * n
+    parity[0] = 0
+    order = [0]
+    for c in order:
+        flip = parity[c] ^ 1
+        for perm in perms:
+            d = perm[c]
+            if parity[d] < 0:
+                parity[d] = flip
+                order.append(d)
+    return order, parity
+
+
 def certify_table(table, relators):
     """Closed-table certificate: bijectivity, transitivity, relator identity.
 
@@ -450,18 +470,7 @@ def certify_table(table, relators):
         if -1 in ip:  # n entries in range miss a value only if one repeats
             return False
         steps[g], steps[-g] = perm, ip
-    # transitivity from coset 0; a permutation's inverse is one of its
-    # powers, so the columns alone reach the whole orbit
-    seen = [False] * n
-    seen[0] = True
-    reached = [0]
-    for c in reached:
-        for perm in perms:
-            d = perm[c]
-            if not seen[d]:
-                seen[d] = True
-                reached.append(d)
-    if len(reached) != n:
+    if len(_search(perms, n)[0]) != n:  # transitivity
         return False
     cosets = list(range(n))
     for rel in relators:
@@ -497,22 +506,14 @@ def branched_cover_group(outcome):
     cosets as the composition of two columns, and the coset it takes 0 to
     names it.  They are taken in search order, the order in which closure
     on the table finds the elements of the orbifold group; those that
-    enlarge the kernel are kept, and the kernel is closed on their
-    actions.  Its elements are cosets, and x * k is the action of k on x.
+    enlarge the kernel are kept (:func:`~spherecover.groups.greedy_closure`),
+    and the kernel is closed on their actions.  Its elements are cosets,
+    and x * k is the action of k on x.
     """
     if not outcome.finite:
         raise ValidationError("a group needs a completed enumeration")
     n, perms = outcome.order, outcome.perms
-    color = [-1] * n
-    color[0] = 0
-    order = [0]
-    for c in order:
-        flip = color[c] ^ 1
-        for perm in perms:
-            d = perm[c]
-            if color[d] == -1:
-                color[d] = flip
-                order.append(d)
+    order, color = _search(perms, n)
     flipped = [c ^ 1 for c in color]
     if not perms or any([color[d] for d in perm] != flipped for perm in perms):
         raise NotIndexTwo("meridian parity map is not onto Z/2")
@@ -524,24 +525,8 @@ def branched_cover_group(outcome):
     for g in perms:
         for action in ([tinv[y] for y in g], [g[y] for y in t]):
             actions.setdefault(action[0], action)
-    members = [False] * n
-    members[0] = True
-    found = [0]
-    kept = []
-    for k in sorted(actions, key=order.index):
-        if members[k]:
-            continue
-        kept.append(actions[k])
-        queue = list(found)
-        while queue:
-            x = queue.pop()
-            for action in kept:
-                y = action[x]
-                if not members[y]:
-                    members[y] = True
-                    found.append(y)
-                    queue.append(y)
-    kernel = FiniteGroup.map_closure(kept, n)
+    _, kept = greedy_closure(sorted(actions, key=order.index), lambda x, k: actions[k][x], n)
+    kernel = FiniteGroup.map_closure([actions[k] for k in kept], n)
     if 2 * len(kernel) != n:
         raise InternalInconsistency("parity kernel must have index two")
     return len(kernel), kernel

@@ -4,7 +4,7 @@ from spherecover import analyzer as an
 from spherecover import knots as kn
 from spherecover import presentations as pr
 from spherecover.config import packaged_corpus_text
-from spherecover.errors import ParseError, UnclassifiedFiniteGroup
+from spherecover.errors import InternalInconsistency, ParseError, UnclassifiedFiniteGroup
 from spherecover.linalg import AbelianGroup
 
 from cover_oracle import regular_group
@@ -78,6 +78,17 @@ def test_classify_finite_named_groups():
     assert an.classify_finite(icosa, icosa.abelianization()) == (an.ICOSAHEDRAL, None)
 
 
+def test_classify_checks_the_abelianization_against_the_derived_subgroup():
+    # |G'| * |G^ab| = |G| ties the Smith form to the derived series
+    d = kn.braid_to_diagram(kn.torus_knot(3, 4))
+    out = pr.todd_coxeter(pr.orbifold_quotient(pr.wirtinger(d)), 10_000)
+    _, tetra = pr.branched_cover_group(out)
+    assert str(tetra.abelianization()) == "Z/3"
+    for wrong in (AbelianGroup((9,)), AbelianGroup(), AbelianGroup((), 1)):
+        with pytest.raises(InternalInconsistency, match="is not"):
+            an.classify_finite(tetra, wrong)
+
+
 def test_classify_rejects_unexpected_group():
     # solvable would be fine, but a non-120 perfect core must surface
     # loudly; A5 = <a, b | a^2, b^3, (ab)^5> is such a group
@@ -109,7 +120,7 @@ def test_run_corpus_finite_rows():
         if r[0] not in ("torus_3_7", "pretzel_3_5_7")
     ]
     summary = an.run_corpus(rows, coset_cap=200_000)
-    assert summary.violations == 0
+    assert an.count_violations(r.to_record() for r in summary.reports) == 0
     assert summary.row_errors == 0
     by_name = {r.name: r for r in summary.reports}
     assert by_name["trefoil"].classification == an.CYCLIC
@@ -149,7 +160,8 @@ def test_report_record_key_order():
 
 def test_empty_corpus():
     summary = an.run_corpus([])
-    assert summary.reports == [] and summary.violations == 0
+    assert summary.reports == [] and summary.row_errors == 0
+    assert an.count_violations(r.to_record() for r in summary.reports) == 0
 
 
 def test_montesinos_with_finite_cover():

@@ -115,6 +115,19 @@ def test_orbit_degenerate_counts_exit_one(argv):
     assert "pass" not in out and "discrepancy" not in out
 
 
+def test_orbit_validate_negative_seed_exits_one(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": -1}')
+    for argv in (
+        ["orbit", "validate", "3", "2", "--samples", "1", "--seed", "-1"],
+        ["--config", str(cfg), "orbit", "validate", "3", "2", "--samples", "1"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert err == "SpecViolation: seed -1 is negative\n"
+        assert "Traceback" not in out + err and out == ""
+
+
 def test_orbit_validate_weight_limit_exits_one():
     code, out, err = run_cli(["orbit", "validate", "10001", "1", "--samples", "1"])
     assert code == 1

@@ -11,6 +11,10 @@ from spherecover import cyclotomic as cy
 from spherecover.errors import InvalidArgument, NotReal, SphereCoverError
 
 
+def sqrt2():
+    return cy.scalar_make(8, {1: 1, 7: 1})
+
+
 def sqrt3():
     return cy.scalar_make(12, {1: 1, 11: 1})
 
@@ -56,16 +60,16 @@ def test_cos_two_pi_fifth_closed_form():
 
 
 def test_sign_determination():
-    assert (cy.sqrt2() - 1).sign() == 1
-    assert (1 - cy.sqrt2()).sign() == -1
-    assert (cy.sqrt2() - cy.sqrt2()).sign() == 0
+    assert (sqrt2() - 1).sign() == 1
+    assert (1 - sqrt2()).sign() == -1
+    assert (sqrt2() - sqrt2()).sign() == 0
     # a value within 1e-5 of zero still gets an exact sign
-    close = cy.sqrt2() - Fraction(141421356237, 100000000000)
+    close = sqrt2() - Fraction(141421356237, 100000000000)
     assert close.sign() == (1 if math.sqrt(2) > 1.41421356237 else -1)
 
 
 def test_sign_fallback_uses_its_own_interval_context(monkeypatch):
-    x = tiny = cy.sqrt2() - 1
+    x = tiny = sqrt2() - 1
     for _ in range(39):
         tiny = tiny * x  # (sqrt(2) - 1)^40, about 4.9e-16
     assert tiny._float_fast()[0] == 0.0  # the double fast path cannot decide
@@ -103,17 +107,17 @@ def test_field_axioms_on_random_pairs():
 
 
 def test_mixed_conductor_lifts_to_lcm():
-    s6 = cy.sqrt2() * sqrt3()
+    s6 = sqrt2() * sqrt3()
     assert s6.conductor == 24
     assert abs(_value(s6) - math.sqrt(6)) < 1e-13
     assert s6 * s6 == 6
 
 
 def test_lift_preserves_value_and_equality():
-    s = cy.sqrt2()
+    s = sqrt2()
     assert s.lift(120) == s
     assert (s.lift(40)).lift(120) == s.lift(120)
-    assert hash(s.lift(120)) == hash(cy.sqrt2().lift(120))
+    assert hash(s.lift(120)) == hash(sqrt2().lift(120))
 
 
 def test_eager_canonical_forms_make_hashing_stable():
@@ -132,7 +136,7 @@ def test_sin_tau():
     "call",
     [
         lambda: cy.zero(0),  # conductor below 1
-        lambda: cy.sqrt2().lift(12),  # 12 is not a multiple of 8
+        lambda: sqrt2().lift(12),  # 12 is not a multiple of 8
         lambda: cy.cos_tau(1, 0),
     ],
     ids=["conductor", "lift", "cos_tau"],
@@ -144,7 +148,7 @@ def test_bad_arguments_are_invalid_arguments(call):
 
 
 def test_product_sum_is_the_signed_sum_of_products():
-    a, b, c = cy.sqrt2(), cy.cos_tau(1, 5), cy.cos_tau(2, 9)
+    a, b, c = sqrt2(), cy.cos_tau(1, 5), cy.cos_tau(2, 9)
     terms = [(1, a, b), (-1, c, c), (1, b, cy.zero()), (-1, a, cy.rational(Fraction(1, 3)))]
     fused = cy.product_sum(terms)
     assert fused.conductor == 360
@@ -298,7 +302,7 @@ def test_equality_compares_keys_at_one_conductor_and_lifts_across(a, b, k):
 
 
 def test_equality_across_conductors_lifts():
-    s = cy.sqrt2()
+    s = sqrt2()
     assert s == s.lift(56) and s.lift(56) == s
     assert s != s.lift(56) + 1
     assert s.lift(56) != cy.cos_tau(1, 7)

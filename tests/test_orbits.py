@@ -329,6 +329,11 @@ def test_validate_profile_raises_on_fake_profile(monkeypatch):
         ob.validate_profile(act, samples=10, seed=3, tol=1e-3)
 
 
+def test_validate_profile_rejects_a_negative_seed():
+    with pytest.raises(SpecViolation, match="seed -1 is negative"):
+        ob.validate_profile(ob.WeightedAction(3, 2), samples=1, seed=-1)
+
+
 def test_validate_profile_large_weights():
     # two lobes of A(theta) nearly tie here; the oracle once refined the wrong
     # one and rejected the correct profile by 1.7e-2
