@@ -232,24 +232,24 @@ class CorpusSummary:
     row_errors: int
 
 
+def analyze_row(row, coset_cap=pr.DEFAULT_COSET_CAP):
+    """The report of one corpus row; a row's own failure is its report's error."""
+    rname, fmt, payload = row
+    try:
+        diagram = diagram_from_payload(fmt, payload, name=rname)
+        return analyze(diagram, coset_cap=coset_cap, name=rname)
+    except (
+        ParseError,
+        ValidationError,
+        NotAKnot,
+        SpecViolation,
+        InternalInconsistency,
+        UnclassifiedFiniteGroup,
+    ) as exc:
+        return CoverReport(rname, error=f"{type(exc).__name__}: {exc}")
+
+
 def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP):
     """Analyze every corpus row; per-row failures are recorded, not fatal."""
-
-    def run_row(row):
-        rname, fmt, payload = row
-        try:
-            diagram = diagram_from_payload(fmt, payload, name=rname)
-            return analyze(diagram, coset_cap=coset_cap, name=rname)
-        except (
-            ParseError,
-            ValidationError,
-            NotAKnot,
-            SpecViolation,
-            InternalInconsistency,
-            UnclassifiedFiniteGroup,
-        ) as exc:
-            return CoverReport(rname, error=f"{type(exc).__name__}: {exc}")
-
-    reports = [run_row(row) for row in rows]
-    reports.sort(key=lambda r: r.name)
+    reports = sorted((analyze_row(row, coset_cap) for row in rows), key=lambda r: r.name)
     return CorpusSummary(reports, row_errors=sum(1 for r in reports if r.error))

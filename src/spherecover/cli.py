@@ -25,7 +25,7 @@ import sys
 
 from . import analyzer, orbits, spaceforms
 from .cache import ResultCache
-from .config import load_config, packaged_corpus_text
+from .config import FIELD_NAMES, load_config, packaged_corpus_text
 from .errors import (
     InputFileError,
     InternalInconsistency,
@@ -105,7 +105,7 @@ def cmd_knot_gen(args, config, out):
 
 
 def cmd_spaceform_verify(args, config, out):
-    spec = _spaceform_spec(args)
+    spec = spaceforms.SpaceFormSpec(args.family, m=args.m, p=args.p, k=args.k)
     cert = spaceforms.build(spec, cap=config.group_cap)
     spaceforms.verify(cert)
     if config.output_format == "json":
@@ -122,15 +122,6 @@ def cmd_spaceform_verify(args, config, out):
         for line in cert.report_lines():
             out.write(line + "\n")
     return EXIT_OK if cert.all_checks_pass() else EXIT_CHECK_FAILED
-
-
-def _spaceform_spec(args):
-    family = args.family
-    if family == "cyclic":
-        return spaceforms.SpaceFormSpec(spaceforms.CYCLIC, m=args.m, p=args.p)
-    if family == "tetrahedral":
-        return spaceforms.SpaceFormSpec(spaceforms.TETRAHEDRAL, m=args.m, k=args.k)
-    return spaceforms.SpaceFormSpec(spaceforms.ICOSAHEDRAL, m=args.m)
 
 
 def cmd_spaceform_sweep(args, config, out):
@@ -171,7 +162,7 @@ def cmd_orbit_profile(args, config, out):
 
 
 def cmd_orbit_compare(args, config, out):
-    k, l = args.k, args.l
+    k, l = args.chain
     action = orbits.WeightedAction(k, l)
     f_kl = orbits.profile(action)
     f_11 = orbits.profile(orbits.WeightedAction(1, 1))
@@ -203,33 +194,43 @@ def cmd_orbit_validate(args, config, out):
     return EXIT_OK
 
 
-def _cached_record(cache, key):
-    """The cached record, or None on a miss or an entry that does not decode.
+# a stored entry is CoverReport.to_record() without its name: these keys in
+# this order, each value of its type or null
+_ENTRY_TYPES = {
+    "schema": str,
+    "det": int,
+    "h1": str,
+    "orbifold_order": int,
+    "cover_order": int,
+    "classification": str,
+    "trichotomy_consistent": bool,
+}
 
-    An undecodable entry (say, truncated) is recomputed and rewritten.
+
+def _cached_record(cache, key):
+    """The cached record, or None on a miss or an entry that is not a stored record.
+
+    An entry that does not decode (say, truncated) or has another shape is
+    recomputed and rewritten.
     """
     hit = cache.get(key)
     try:
         rec = json.loads(hit) if hit is not None else None
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         return None
-    return rec if isinstance(rec, dict) else None
+    if not isinstance(rec, dict) or list(rec) != list(_ENTRY_TYPES):
+        return None
+    typed = all(v is None or type(v) is _ENTRY_TYPES[k] for k, v in rec.items())
+    return rec if typed and rec["schema"] == analyzer.REPORT_SCHEMA else None
 
 
 def _attach_name(cached_rec, name, show_timing):
-    """Rebuild a cached (name-free) record with the row name in place.
+    """A cached record with the row name in place, as a fresh record has it.
 
-    A hit carries no timing of its own: a stored ``ms`` is dropped, and
-    with ``--timings`` the hit reads ``"ms": null`` where a fresh record
-    has its time.
+    A hit carries no timing of its own: with ``--timings`` it reads
+    ``"ms": null`` where a fresh record has its time.
     """
-    out = {}
-    for k, v in cached_rec.items():
-        if k == "ms":
-            continue
-        out[k] = v
-        if k == "schema":
-            out["name"] = name
+    out = {"schema": cached_rec["schema"], "name": name, **cached_rec}
     if show_timing:
         out["ms"] = None
     return out
@@ -257,32 +258,22 @@ def cmd_corpus_run(args, config, out):
     rows = analyzer.parse_corpus(text)
     cache = _open_cache(config.cache_path) if config.cache_path else None
     records = []
-    fresh_rows = []
-    if cache:
-        for row in rows:
-            key = cache.key_for(row[2], row[1], config.coset_cap)
-            hit = _cached_record(cache, key)
-            if hit is not None:
-                records.append(_attach_name(hit, row[0], config.show_timing))
-            else:
-                fresh_rows.append(row)
-    else:
-        fresh_rows = rows
-    summary = analyzer.run_corpus(fresh_rows, coset_cap=config.coset_cap)
-    # run_corpus sorts its reports stably by name, so the same sort pairs each
-    # report with its own row even when two rows share a name
-    by_name = sorted(fresh_rows, key=lambda row: row[0])
-    for (_, fmt, payload), report in zip(by_name, summary.reports):
-        rec = report.to_record(config.show_timing)
-        records.append(rec)
+    for row in rows:
+        name, fmt, payload = row
+        key = cache.key_for(payload, fmt, config.coset_cap) if cache else None
+        hit = _cached_record(cache, key) if cache else None
+        if hit is not None:
+            records.append(_attach_name(hit, name, config.show_timing))
+            continue
+        report = analyzer.analyze_row(row, config.coset_cap)
+        records.append(report.to_record(config.show_timing))
         if cache and report.error is None:
-            key = cache.key_for(payload, fmt, config.coset_cap)
             nameless = {k: v for k, v in report.to_record().items() if k != "name"}
             cache.put(key, json.dumps(nameless, sort_keys=False).encode())
     records.sort(key=lambda r: r["name"])
     _emit_records(records, config.output_format, out)
     violations = analyzer.count_violations(records)
-    errors = summary.row_errors
+    errors = sum("error" in rec for rec in records)
     out.write(f"violations: {violations}\n")
     out.write(f"row_errors: {errors}\n")
     if errors:
@@ -321,8 +312,9 @@ def build_parser():
 
     knot = sub.add_parser("knot", help="knot pipeline commands")
     knot_sub = knot.add_subparsers(dest="subcommand", required=True)
-    for name in ("analyze", "gen"):
+    for name, handler in (("analyze", cmd_knot_analyze), ("gen", cmd_knot_gen)):
         k = knot_sub.add_parser(name, parents=[common])
+        k.set_defaults(handler=handler)
         k.add_argument("--pd")
         k.add_argument("--dt")
         k.add_argument("--braid")
@@ -334,28 +326,32 @@ def build_parser():
     sform = sub.add_parser("spaceform", help="space-form verification")
     sform_sub = sform.add_subparsers(dest="subcommand", required=True)
     verify = sform_sub.add_parser("verify", parents=[common])
+    verify.set_defaults(handler=cmd_spaceform_verify)
     verify.add_argument("family", choices=["cyclic", "tetrahedral", "icosahedral"])
     verify.add_argument("--m", type=int, default=1)
     verify.add_argument("--p", type=int, default=1)
     verify.add_argument("--k", type=int, default=0)
-    sform_sub.add_parser("sweep", parents=[common])
+    sform_sub.add_parser("sweep", parents=[common]).set_defaults(handler=cmd_spaceform_sweep)
 
     orbit = sub.add_parser("orbit", help="orbit-space geometry")
     orbit_sub = orbit.add_subparsers(dest="subcommand", required=True)
     oprof = orbit_sub.add_parser("profile", parents=[common])
+    oprof.set_defaults(handler=cmd_orbit_profile)
     oprof.add_argument("k", type=int)
     oprof.add_argument("l", type=int)
     oprof.add_argument("--points", type=int, default=100)
     ocomp = orbit_sub.add_parser("compare", parents=[common])
+    ocomp.set_defaults(handler=cmd_orbit_compare)
     ocomp.add_argument("--chain", nargs=2, type=int, required=True, metavar=("K", "L"))
     oval = orbit_sub.add_parser("validate", parents=[common])
+    oval.set_defaults(handler=cmd_orbit_validate)
     oval.add_argument("k", type=int)
     oval.add_argument("l", type=int)
     oval.add_argument("--samples", type=int, default=100)
 
     corpus = sub.add_parser("corpus", help="batch pipeline over the corpus")
     corpus_sub = corpus.add_subparsers(dest="subcommand", required=True)
-    corpus_sub.add_parser("run", parents=[common])
+    corpus_sub.add_parser("run", parents=[common]).set_defaults(handler=cmd_corpus_run)
     return parser
 
 
@@ -369,41 +365,16 @@ def main(argv=None, out=None, err=None):
         # argparse exits with 2 on usage errors; that slot means a trichotomy
         # violation here, so remap usage problems to the input-error code
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "output_format",
-            "coset_cap",
-            "group_cap",
-            "cache_path",
-            "corpus_path",
-            "seed",
-            "show_timing",
-        )
-        if getattr(args, key, None) is not None
-    }
+    # absent options are suppressed, so every config field left in the
+    # namespace was given on the command line
+    overrides = {key: value for key, value in vars(args).items() if key in FIELD_NAMES}
     try:
         config = load_config(getattr(args, "config", None), overrides)
     except (OSError, ValueError) as exc:  # ConfigError and bad JSON included
         err.write(f"config error: {exc}\n")
         return EXIT_INPUT
-
-    if args.command == "orbit" and args.subcommand == "compare":
-        args.k, args.l = args.chain
-
-    dispatch = {
-        ("knot", "analyze"): cmd_knot_analyze,
-        ("knot", "gen"): cmd_knot_gen,
-        ("spaceform", "verify"): cmd_spaceform_verify,
-        ("spaceform", "sweep"): cmd_spaceform_sweep,
-        ("orbit", "profile"): cmd_orbit_profile,
-        ("orbit", "compare"): cmd_orbit_compare,
-        ("orbit", "validate"): cmd_orbit_validate,
-        ("corpus", "run"): cmd_corpus_run,
-    }
-    handler = dispatch[(args.command, args.subcommand)]
     try:
-        return handler(args, config, out)
+        return args.handler(args, config, out)
     except InputFileError as exc:
         err.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -8,15 +8,18 @@ from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 from .errors import ConfigError
+from .groups import DEFAULT_GROUP_CAP
+from .orbits import DEFAULT_TOL_ORACLE
+from .presentations import DEFAULT_COSET_CAP
 
 ENV_CONFIG = "SPHERECOVER_CONFIG"
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    coset_cap: int = 200_000
-    group_cap: int = 100_000
-    tol_oracle: float = 1e-3
+    coset_cap: int = DEFAULT_COSET_CAP
+    group_cap: int = DEFAULT_GROUP_CAP
+    tol_oracle: float = DEFAULT_TOL_ORACLE
     corpus_path: str | None = None  # None: packaged corpus
     cache_path: str | None = None  # None: caching disabled
     output_format: str = "table"  # table | json | csv
@@ -50,13 +53,13 @@ _ACCEPTS = {
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
 }
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 
 def _apply(config, mapping, source):
     if not isinstance(mapping, dict):
         raise ConfigError(f"config in {source} must be a JSON object")
-    unknown = set(mapping) - _FIELD_NAMES
+    unknown = set(mapping) - FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown config keys in {source}: {sorted(unknown)}")
     return replace(config, **mapping)

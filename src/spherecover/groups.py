@@ -256,10 +256,6 @@ class FiniteGroup:
             raise InternalInconsistency("derived subgroup is not normal")
         return members, kept
 
-    def derived_subgroup(self):
-        """Commutator subgroup [G, G], as a sorted tuple of indices."""
-        return tuple(sorted(self._derived(self.gens_idx)[0]))
-
     def derived_series(self):
         """Subgroup chain G >= G' >= G'' >= ... until it stabilizes.
 

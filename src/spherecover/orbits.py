@@ -18,7 +18,7 @@ doubling comparisons are two integer inequalities, the turning points
 f = c of a Clairaut geodesic are the roots of a quadratic in s, and the
 angle and length of every arc are elementary.  Only the oracle uses numpy,
 and it imports it on first call.  The gate threshold defaults to
-``RunConfig.tol_oracle``.
+``DEFAULT_TOL_ORACLE``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import RunConfig
 from .errors import OracleMismatch, SpecViolation
+
+DEFAULT_TOL_ORACLE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def profile_distance(prof, a, b):
     return min(candidates)
 
 
-def validate_profile(action, samples=100, seed=0, tol=RunConfig.tol_oracle):
+def validate_profile(action, samples=100, seed=0, tol=DEFAULT_TOL_ORACLE):
     """Max |closed-form geodesic distance - true orbit distance| over samples.
 
     This is the gate that earns the closed-form profile: failure above

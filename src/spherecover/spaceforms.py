@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import cyclotomic as cy
 from . import quaternions as qt
-from .errors import InternalInconsistency, SpecViolation
+from .errors import CapExceeded, InternalInconsistency, SpecViolation
 from .groups import DEFAULT_GROUP_CAP, FiniteRotationGroup, generate_group
 from .linalg import AbelianGroup
 
@@ -167,10 +167,33 @@ def _build_generators(spec):
     return gens, iota_hat
 
 
+def _spin_order_bound(spec):
+    """A lower bound on |Pi^|, for the generators ``_build_generators`` makes.
+
+    With z of order 2m: the cyclic generator (z^(1+p), z^(p-1)) has order
+    2m / gcd(2m, p+1, p-1); the tetrahedral group maps onto 2T (order 24)
+    with kernel containing {1} x <z>; the icosahedral group is 2I x <z>.
+    """
+    m = spec.m
+    if m < 1:
+        return 0
+    if spec.family == CYCLIC:
+        return 2 * m // math.gcd(2 * m, spec.p + 1, spec.p - 1)
+    if spec.family == TETRAHEDRAL:
+        return 48 * m
+    return 240 * m
+
+
 def build(spec, cap=DEFAULT_GROUP_CAP, allow_invalid=False):
-    """Construct the certificate skeleton: groups, extension, involution, conductor."""
+    """Construct the certificate skeleton: groups, extension, involution, conductor.
+
+    A spec whose Pi^ is provably larger than ``cap`` is refused before any
+    exact arithmetic.
+    """
     if not allow_invalid:
         spec.validate()
+    if 1 <= cap < _spin_order_bound(spec):
+        raise CapExceeded(cap)
     gens, iota_hat = _build_generators(spec)
     conductor = math.lcm(iota_hat.conductor(), *(g.conductor() for g in gens))
     gens = [g.lift(conductor) for g in gens]

