@@ -36,14 +36,15 @@ class ResultCache:
         )
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def _path(self, key):
+    def path(self, key):
         return os.path.join(self.root, key + ".json")
 
     def get(self, key):
+        """The entry's bytes, or None for an entry that cannot be read (a miss)."""
         try:
-            with open(self._path(key), "rb") as fh:
+            with open(self.path(key), "rb") as fh:
                 return fh.read()
-        except FileNotFoundError:
+        except OSError:  # missing, a directory, unreadable
             return None
 
     def put(self, key, data):
@@ -51,7 +52,7 @@ class ResultCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-            os.replace(tmp, self._path(key))
+            os.replace(tmp, self.path(key))
         except BaseException:
             try:
                 os.unlink(tmp)

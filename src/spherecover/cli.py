@@ -269,7 +269,10 @@ def cmd_corpus_run(args, config, out):
         records.append(report.to_record(config.show_timing))
         if cache and report.error is None:
             nameless = {k: v for k, v in report.to_record().items() if k != "name"}
-            cache.put(key, json.dumps(nameless, sort_keys=False).encode())
+            try:
+                cache.put(key, json.dumps(nameless, sort_keys=False).encode())
+            except OSError as exc:  # put has removed its temp file
+                raise InputFileError(f"cannot write cache entry {cache.path(key)}: {exc}") from exc
     records.sort(key=lambda r: r["name"])
     _emit_records(records, config.output_format, out)
     violations = analyzer.count_violations(records)

@@ -19,7 +19,7 @@ branched cover come from the crossing/arc incidence matrix evaluated at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotAKnot, ParseError, SpecViolation, ValidationError
 from .linalg import AbelianGroup, cokernel, integer_determinant
@@ -48,9 +48,9 @@ class KnotDiagram:
     """Validated single-component diagram with arc structure."""
 
     crossings: list[Crossing]
-    name: str = ""
-    arc_of_edge: dict = field(default_factory=dict)
-    arc_count: int = 0
+    name: str
+    arc_of_edge: dict
+    arc_count: int
 
     @property
     def crossing_count(self):
@@ -66,12 +66,18 @@ def _succ(e, n2):
 
 
 def diagram_from_pd_tuples(tuples, name=""):
-    """Validate raw PD tuples and compute arcs; raises ValidationError."""
+    """Validate raw PD tuples and compute arcs; raises ValidationError.
+
+    Every crossing gives two edges the successor e % 2n + 1, and no edge is
+    given two, so the 2n edges with a successor are all of 1..2n and run
+    round one cycle.  An arc begins at each under-out edge; the run after
+    the last one wraps into arc 0, so arcs are numbered by first edge.
+    """
     _check_crossings(len(tuples), "PD diagram")
     tuples = [tuple(int(x) for x in t) for t in tuples]
     n = len(tuples)
     if n == 0:
-        return KnotDiagram([], name=name, arc_of_edge={1: 0}, arc_count=1)
+        return KnotDiagram([], name, {1: 0}, 1)
     n2 = 2 * n
     counts = {}
     for t in tuples:
@@ -85,14 +91,14 @@ def diagram_from_pd_tuples(tuples, name=""):
     if bad:
         raise ValidationError(f"edge labels {bad} do not occur exactly twice")
     crossings = []
-    succ = {}
+    followed = set()
 
-    def set_succ(e, target, t):
-        if e in succ:
+    def follow(e, t):
+        if e in followed:
             raise ValidationError(
                 f"crossing {t!r}: edge {e} has two successors; multi-component input?"
             )
-        succ[e] = target
+        followed.add(e)
 
     for t in tuples:
         a, b, c, d = t
@@ -101,50 +107,25 @@ def diagram_from_pd_tuples(tuples, name=""):
                 f"crossing {t!r}: under-strand must continue consecutively "
                 f"(expected {_succ(a, n2)}, got {c}); multi-component input?"
             )
-        set_succ(a, c, t)
+        follow(a, t)
         # with two edges both directions of the over-strand look consecutive;
         # b -> d is ruled out when b is the under-in edge, already followed by c
         if d == _succ(b, n2) and b != a:
             sign = 1
-            set_succ(b, d, t)
+            follow(b, t)
         elif b == _succ(d, n2):
             sign = -1
-            set_succ(d, b, t)
+            follow(d, t)
         else:
             raise ValidationError(f"crossing {t!r}: over edges {b},{d} not consecutive")
         crossings.append(Crossing(t, sign))
-    cursor, visited = 1, 0
-    while visited < n2:
-        if cursor not in succ:
-            raise ValidationError(f"edge {cursor} never enters a crossing")
-        cursor = succ.pop(cursor)
-        visited += 1
-    if cursor != 1:
-        raise ValidationError("edge successors do not close into one cycle")
-    # arcs: edges glued across over-strand passages
-    parent = list(range(n2 + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cr in crossings:
-        b, d = cr.over_edges
-        rb, rd = find(b), find(d)
-        if rb != rd:
-            parent[rb] = rd
-    reps = {}
-    arc_of_edge = {}
+    starts = {cr.under_out for cr in crossings}
+    arc_of_edge, arc = {}, 0
     for e in range(1, n2 + 1):
-        r = find(e)
-        if r not in reps:
-            reps[r] = len(reps)
-        arc_of_edge[e] = reps[r]
-    if len(reps) != n:
-        raise ValidationError(f"expected {n} arcs, found {len(reps)}")
-    return KnotDiagram(crossings, name=name, arc_of_edge=arc_of_edge, arc_count=n)
+        if e in starts and e != 1:
+            arc += 1
+        arc_of_edge[e] = arc % n
+    return KnotDiagram(crossings, name, arc_of_edge, n)
 
 
 # -- PD parsing -----------------------------------------------------------------
@@ -218,23 +199,22 @@ class BraidWord:
             if l == 0 or abs(l) >= self.strands:
                 raise ValidationError(f"braid letter {l} out of range for {self.strands} strands")
 
-    def closure_permutation(self):
-        perm = list(range(self.strands))
+    def closure_components(self):
+        """Cycles of the closure permutation, in O(letters) whatever the strand count.
+
+        A strand that no letter touches is a fixed point: it is counted,
+        never listed.
+        """
+        perm = {}
         for l in self.letters:
             i = abs(l) - 1
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        return perm
-
-    def closure_components(self):
-        perm = self.closure_permutation()
-        seen = [False] * self.strands
-        comps = 0
-        for s in range(self.strands):
-            if not seen[s]:
-                comps += 1
-                while not seen[s]:
-                    seen[s] = True
-                    s = perm[s]
+            perm[i], perm[i + 1] = perm.get(i + 1, i + 1), perm.get(i, i)
+        comps = self.strands - len(perm)
+        while perm:
+            comps += 1
+            s = next(iter(perm))
+            while s in perm:
+                s = perm.pop(s)
         return comps
 
 
@@ -319,7 +299,7 @@ class _Assembler:
 
     def finish(self, name=""):
         if not self.crossings:
-            return KnotDiagram([], name=name, arc_of_edge={1: 0}, arc_count=1)
+            return diagram_from_pd_tuples([], name=name)
         incidences = {}
         for ci, (ends, _) in enumerate(self.crossings):
             for slot, key in enumerate(ends):
@@ -370,10 +350,9 @@ class _Assembler:
 def braid_to_diagram(braid, name=""):
     """Close a braid word into a knot diagram; rejects multi-component closures."""
     _check_crossings(len(braid.letters), "braid closure")
-    if braid.closure_components() != 1:
-        raise NotAKnot(
-            f"braid closure has {braid.closure_components()} components"
-        )
+    comps = braid.closure_components()
+    if comps != 1:
+        raise NotAKnot(f"braid closure has {comps} components")
     asm = _Assembler()
     top = [asm.fresh() for _ in range(braid.strands)]
     cur = list(top)
@@ -391,7 +370,7 @@ def braid_to_diagram(braid, name=""):
         for s in range(braid.strands):
             asm.union(cur[s], top[s])
         return asm.finish(name=name)
-    return KnotDiagram([], name=name, arc_of_edge={1: 0}, arc_count=1)
+    return diagram_from_pd_tuples([], name=name)
 
 
 # -- rational tangles and their closures ---------------------------------------
@@ -472,7 +451,7 @@ def two_bridge(p, q, name=""):
     if p < 1 or p % 2 == 0:
         raise SpecViolation("two-bridge p must be odd and positive")
     if p == 1:
-        return KnotDiagram([], name=name or "unknot", arc_of_edge={1: 0}, arc_count=1)
+        return diagram_from_pd_tuples([], name=name or "unknot")
     if not 0 < q < p or math.gcd(p, q) != 1:
         raise SpecViolation("two-bridge q must satisfy 0 < q < p, gcd(p,q) = 1")
     asm = _Assembler()
@@ -544,8 +523,7 @@ def parse_dt(text, name=""):
         except ValueError:
             raise ParseError(f"invalid DT entry {tok!r}", idx) from None
     n = len(code)
-    # checked here once, so the realization loop below cannot mistake a
-    # limit refusal for an unrealizable code
+    # checked before the realization cap, so a limit refusal names the DT code
     _check_crossings(n, "DT code")
     if n > DT_REALIZATION_CAP:
         raise ValidationError(
@@ -573,6 +551,8 @@ def parse_dt(text, name=""):
         b_in = edge_into(over_pos)
         b_out = over_pos
         base.append((a, b_in, c, b_out))
+    # every choice passes diagram_from_pd_tuples or none does: turning an
+    # over-strand round changes neither the successors nor the under-out edges
     for mask in range(1 << n):
         tuples = []
         for i, (a, b_in, c, b_out) in enumerate(base):
@@ -580,23 +560,19 @@ def parse_dt(text, name=""):
                 tuples.append((a, b_out, c, b_in))
             else:
                 tuples.append((a, b_in, c, b_out))
-        try:
-            diagram = diagram_from_pd_tuples(tuples, name=name)
-        except ValidationError:
-            continue
-        if diagram_face_count(diagram) == n + 2:
-            return diagram
+        if face_count(tuples) == n + 2:
+            return diagram_from_pd_tuples(tuples, name=name)
     raise ValidationError("DT code is not realizable as a planar knot diagram")
 
 
-def diagram_face_count(diagram):
-    """Number of faces of the underlying 4-valent map (n + 2 iff planar)."""
-    n = diagram.crossing_count
+def face_count(tuples):
+    """Number of faces of the 4-valent map of PD tuples (n + 2 iff planar)."""
+    n = len(tuples)
     if n == 0:
         return 2
     incidences = {}
-    for ci, cr in enumerate(diagram.crossings):
-        for slot, e in enumerate(cr.edges):
+    for ci, t in enumerate(tuples):
+        for slot, e in enumerate(t):
             incidences.setdefault(e, []).append((ci, slot))
     darts = {(ci, slot) for ci in range(n) for slot in range(4)}
     faces = 0
@@ -607,8 +583,7 @@ def diagram_face_count(diagram):
         while True:
             darts.discard(cur)
             ci, slot = cur
-            e = diagram.crossings[ci].edges[slot]
-            inc1, inc2 = incidences[e]
+            inc1, inc2 = incidences[tuples[ci][slot]]
             other = inc2 if inc1 == cur else inc1
             cur = (other[0], (other[1] + 1) % 4)
             if cur == start:

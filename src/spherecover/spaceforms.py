@@ -170,9 +170,10 @@ def _build_generators(spec):
 def _spin_order_bound(spec):
     """A lower bound on |Pi^|, for the generators ``_build_generators`` makes.
 
-    With z of order 2m: the cyclic generator (z^(1+p), z^(p-1)) has order
-    2m / gcd(2m, p+1, p-1); the tetrahedral group maps onto 2T (order 24)
-    with kernel containing {1} x <z>; the icosahedral group is 2I x <z>.
+    With z of order 2m and zeta of order 3^k: the cyclic generator
+    (z^(1+p), z^(p-1)) has order 2m / gcd(2m, p+1, p-1); the tetrahedral
+    group maps onto 2T (order 24) with kernel containing {1} x <z, zeta^6>,
+    of order lcm(2m, 3^(k-1)); the icosahedral group is 2I x <z>.
     """
     m = spec.m
     if m < 1:
@@ -180,7 +181,7 @@ def _spin_order_bound(spec):
     if spec.family == CYCLIC:
         return 2 * m // math.gcd(2 * m, spec.p + 1, spec.p - 1)
     if spec.family == TETRAHEDRAL:
-        return 48 * m
+        return 24 * math.lcm(2 * m, 3 ** max(spec.k - 1, 0))
     return 240 * m
 
 

@@ -500,6 +500,31 @@ def test_spaceform_larger_than_the_cap_is_refused_at_once():
     assert err == "CapExceeded: closure exceeded cap of 100000 elements\n"
 
 
+def test_tetrahedral_power_above_the_cap_is_refused_at_once():
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["spaceform", "verify", "tetrahedral", "--m", "1", "--k", "99"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and out == ""
+    assert err == "CapExceeded: closure exceeded cap of 100000 elements\n"
+
+
+def test_corpus_cache_entry_that_is_a_directory_is_an_input_error(tmp_path):
+    corpus = tmp_path / "one.tsv"
+    corpus.write_text("x\ttwobridge\t5 2\n")
+    cache_dir = tmp_path / "cache"
+    argv = ["corpus", "run", "--corpus", str(corpus), "--cache", str(cache_dir), "--format", "json"]
+    assert run_cli(argv)[0] == 0
+    (stored,) = cache_dir.iterdir()
+    stored.unlink()
+    stored.mkdir()
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"input error: cannot write cache entry {stored}: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in cache_dir.iterdir()) == [stored.name]  # no *.tmp left
+    assert stored.is_dir()
+
+
 def test_usage_error_maps_to_input_exit():
     code, _, _ = run_cli(["knot", "analyze", "--nonsense"])
     assert code == 1

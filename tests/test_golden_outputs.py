@@ -9,7 +9,9 @@ while the cover group was still closed by products in the regular group
 of the coset table, before it was read off the table's columns.  No fast
 path may change a printed byte or an exit code.  The orbit files were
 recorded while the profile was still evaluated with numpy and the
-geodesics by quadrature.
+geodesics by quadrature.  The ``knot gen`` files were recorded while the
+diagram check still walked the edge successors, found arcs by union-find
+and validated every crossing choice of a DT code.
 """
 
 import os
@@ -77,3 +79,22 @@ def test_knot_output_is_byte_identical(argv, golden, code):
 )
 def test_orbit_output_is_byte_identical(argv, golden, code):
     assert_output_is_golden(argv, golden, code)
+
+
+KNOT_GEN = {
+    "pd": (["--pd", "[(4,2,5,1),(8,6,1,5),(6,3,7,4),(2,7,3,8)]"], "knot_gen_pd_4_1.txt"),
+    "dt-4-6-2": (["--dt", "4 6 2"], "knot_gen_dt_4_6_2.txt"),
+    "dt-14-crossings": (
+        ["--dt", "-26 -16 -18 -20 -22 -24 -28 -2 -4 -6 -8 -10 -12 -14"],
+        "knot_gen_dt_14_crossings.txt",
+    ),
+    "braid": (["--braid", "strands=3 1 -2 1 -2"], "knot_gen_braid_4_1.txt"),
+    "torus-3-5": (["--torus", "3", "5"], "knot_gen_torus_3_5.txt"),
+    "two-bridge-15-4": (["--two-bridge", "15", "4"], "knot_gen_two_bridge_15_4.txt"),
+    "montesinos": (["--montesinos", "e=-1; 1/3 2/5 1/7"], "knot_gen_montesinos.txt"),
+}
+
+
+@pytest.mark.parametrize("args, golden", KNOT_GEN.values(), ids=KNOT_GEN.keys())
+def test_knot_gen_output_is_byte_identical(args, golden):
+    assert_output_is_golden(["knot", "gen", *args], golden, 0)

@@ -1,16 +1,24 @@
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spherecover import analyzer as an
 from spherecover import knots as kn
 from spherecover.config import packaged_corpus_text
-from spherecover.errors import NotAKnot, ParseError, SpecViolation, ValidationError
+from spherecover.errors import NotAKnot, ParseError, SpecViolation, SphereCoverError, ValidationError
 from spherecover.linalg import AbelianGroup, integer_determinant
 
+import diagram_oracle
 import snf_oracle
 from test_cover_group import markov_torus_braid
+from test_presentations import closure_permutation, knot_braids
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -121,6 +129,56 @@ def test_parse_dt_errors():
         kn.parse_dt("2 4 6 8 10 12 14 16 2 4 6 8 10 16 18")  # over the cap
 
 
+def _cycles(perm):
+    """Cycle count of a permutation listed in full."""
+    seen, comps = set(), 0
+    for s in range(len(perm)):
+        if s not in seen:
+            comps += 1
+            while s not in seen:
+                seen.add(s)
+                s = perm[s]
+    return comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, n - 1).flatmap(lambda x: st.sampled_from([x, -x])), max_size=12),
+    )
+))
+def test_closure_components_counts_the_cycles_of_the_permutation(word):
+    braid = kn.BraidWord(word[0], tuple(word[1]))
+    assert braid.closure_components() == _cycles(closure_permutation(*word))
+
+
+def test_untouched_strands_are_counted_not_listed():
+    assert kn.BraidWord(10**9, ()).closure_components() == 10**9
+    assert kn.BraidWord(10**9, (1, 2)).closure_components() == 10**9 - 2
+    assert kn.BraidWord(10**9, (1, 2, 1)).closure_components() == 10**9 - 1
+    # a 1 GB address-space cap: a list of 10^9 strands would not fit
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from spherecover import knots\n"
+        "from spherecover.errors import NotAKnot\n"
+        "try:\n"
+        "    knots.braid_to_diagram(knots.parse_braid('strands=1000000000 1'))\n"
+        "except NotAKnot as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert done.stdout == b"braid closure has 999999999 components\n"
+
+
 def test_parse_braid():
     b = kn.parse_braid("strands=2 1 1 1")
     assert b.strands == 2 and b.letters == (1, 1, 1)
@@ -149,6 +207,98 @@ def test_three_trefoil_routes_agree():
     fingerprints = {threefree(alexander_at(d, 3)) for d in routes}
     assert dets == {3}
     assert fingerprints == {7}
+
+
+# -- the diagram check against its oracle -----------------------------------------
+
+
+def _outcome(build, *args):
+    """A diagram's crossings, signs and arcs, or the error it raised."""
+    try:
+        d = build(*args)
+    except SphereCoverError as exc:
+        return type(exc), str(exc)
+    return d.name, d.crossings, d.arc_of_edge, d.arc_count
+
+
+def _generated_diagrams():
+    two_bridge = st.integers(1, 30).flatmap(
+        lambda h: st.sampled_from(
+            [kn.two_bridge(2 * h + 1, q) for q in range(1, 2 * h + 1) if math.gcd(2 * h + 1, q) == 1]
+        )
+    )
+    return st.one_of(knot_braids().map(kn.braid_to_diagram), two_bridge)
+
+
+@st.composite
+def pd_tuples(draw):
+    """A generated diagram's PD tuples, relabelled, reordered and maybe broken,
+    or random 4-tuples of labels."""
+    kind = draw(st.sampled_from(["generated", "random", "twice", "pairs"]))
+    if kind != "generated":
+        n = draw(st.integers(1, 6))
+        n2 = 2 * n
+        if kind == "random":
+            labels = draw(st.lists(st.integers(0, n2 + 1), min_size=4 * n, max_size=4 * n))
+        elif kind == "twice":  # every label twice: past the degree check
+            labels = draw(st.permutations([e for e in range(1, n2 + 1) for _ in "ab"]))
+        else:  # consecutive under and over pairs: past the crossing rules
+            labels = []
+            for _ in range(n):
+                a, b = draw(st.integers(1, n2)), draw(st.integers(1, n2))
+                up = draw(st.booleans())
+                labels += [a, b, a % n2 + 1, b % n2 + 1] if up else [a, b % n2 + 1, a % n2 + 1, b]
+        return [tuple(labels[4 * i : 4 * i + 4]) for i in range(n)]
+    d = draw(_generated_diagrams())
+    n2 = 2 * d.crossing_count
+    if not n2:
+        return []
+    shift = draw(st.integers(0, n2 - 1))  # start the labels at another edge
+    tuples = [tuple((e - 1 + shift) % n2 + 1 for e in cr.edges) for cr in d.crossings]
+    tuples = draw(st.permutations(tuples))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(tuples) - 1)), draw(st.integers(0, len(tuples) - 1))
+        si, sj = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        ti, tj = list(tuples[i]), list(tuples[j])
+        how = draw(st.sampled_from(["rotate", "flip", "exchange"]))
+        if how == "rotate":  # by one slot: a crossing change
+            tuples[i] = tuple(ti[si:] + ti[:si])
+        elif how == "flip":  # the over-strand turned round
+            tuples[i] = (ti[0], ti[3], ti[2], ti[1])
+        elif i == j:
+            ti[si], ti[sj] = ti[sj], ti[si]
+            tuples[i] = tuple(ti)
+        else:
+            ti[si], tj[sj] = tj[sj], ti[si]
+            tuples[i], tuples[j] = tuple(ti), tuple(tj)
+    return tuples
+
+
+@settings(max_examples=400, deadline=None)
+@given(pd_tuples())
+@example([])
+@example([(1, 2, 2, 1)])
+@example([(2, 2, 1, 1)])
+@example([(1, 3, 2, 4), (3, 1, 4, 2)])  # Hopf link: edge 3 followed twice
+@example([(1, 3, 2, 4), (1, 4, 2, 3)])
+@example([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 4)])
+@example([(1, 4, 2), (3, 6, 4, 1), (5, 2, 6, 3)])
+def test_diagram_check_matches_the_oracle(tuples):
+    assert _outcome(kn.diagram_from_pd_tuples, tuples, "x") == _outcome(
+        diagram_oracle.diagram_from_pd_tuples, tuples, "x"
+    )
+
+
+def test_every_small_dt_code_matches_the_oracle():
+    codes = [
+        " ".join(str(s * e) for s, e in zip(signs, evens))
+        for n in range(1, 6)
+        for evens in itertools.permutations(range(2, 2 * n + 1, 2))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+    assert len(codes) == 4282
+    for code in codes:
+        assert _outcome(kn.parse_dt, code, "x") == _outcome(diagram_oracle.parse_dt, code, "x"), code
 
 
 # -- generators ---------------------------------------------------------------
@@ -227,7 +377,7 @@ def test_generated_diagrams_validate():
         # re-parse own PD text: full arc-degree validation must pass
         again = kn.parse_pd(d.pd_text())
         assert again.crossing_count == n
-        assert kn.diagram_face_count(d) == n + 2  # planar
+        assert kn.face_count([cr.edges for cr in d.crossings]) == n + 2  # planar
 
 
 # -- determinant vs Goeritz oracle ------------------------------------------------

@@ -118,6 +118,9 @@ def test_forced_even_m_fails_two_torsion_check():
         sf.SpaceFormSpec(sf.CYCLIC, m=5, p=-1),
         sf.SpaceFormSpec(sf.TETRAHEDRAL, m=2, k=1),
         sf.SpaceFormSpec(sf.TETRAHEDRAL, m=5, k=2),
+        sf.SpaceFormSpec(sf.TETRAHEDRAL, m=3, k=2),
+        sf.SpaceFormSpec(sf.TETRAHEDRAL, m=1, k=3),
+        sf.SpaceFormSpec(sf.TETRAHEDRAL, m=4, k=3),
         sf.SpaceFormSpec(sf.ICOSAHEDRAL, m=2),
         sf.SpaceFormSpec("unlisted", m=1),
     ],
