@@ -158,15 +158,19 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
 # -- corpus ------------------------------------------------------------------------
 
 
-def diagram_from_payload(fmt, payload, name=""):
-    """Corpus row dispatch; formats: pd, dt, braid, torus, twobridge, montesinos."""
+def diagram_from_payload(fmt, payload, name="", reduce=True):
+    """Corpus row dispatch; formats: pd, dt, braid, torus, twobridge, montesinos.
+
+    A braid row closes to its Markov-reduced word, or with ``reduce=False``
+    to the word as written.
+    """
     fmt = fmt.strip().lower()
     if fmt == "pd":
         return kn.parse_pd(payload, name=name)
     if fmt == "dt":
         return kn.parse_dt(payload, name=name)
     if fmt == "braid":
-        return kn.braid_to_diagram(kn.parse_braid(payload), name=name)
+        return kn.braid_to_diagram(kn.parse_braid(payload), name=name, reduce=reduce)
     if fmt == "torus":
         p, q = _integers(payload, 2)
         return kn.braid_to_diagram(kn.torus_knot(p, q), name=name)

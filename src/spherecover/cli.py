@@ -70,7 +70,7 @@ def _emit_records(records, fmt, out):
         )
 
 
-def _knot_diagram_from_args(args):
+def _knot_diagram_from_args(args, reduce=True):
     sources = [
         ("pd", args.pd),
         ("dt", args.dt),
@@ -88,7 +88,7 @@ def _knot_diagram_from_args(args):
         kind = kind.replace("_", "")
         p, q = value
         name, value = f"{kind}({p},{q})", f"{p} {q}"
-    return analyzer.diagram_from_payload(kind, value, name=args.name or name)
+    return analyzer.diagram_from_payload(kind, value, name=args.name or name, reduce=reduce)
 
 
 def cmd_knot_analyze(args, config, out):
@@ -99,7 +99,7 @@ def cmd_knot_analyze(args, config, out):
 
 
 def cmd_knot_gen(args, config, out):
-    diagram = _knot_diagram_from_args(args)
+    diagram = _knot_diagram_from_args(args, reduce=False)
     out.write(diagram.pd_text() + "\n")
     return EXIT_OK
 

@@ -239,6 +239,47 @@ def parse_braid(text, name=""):
         raise ParseError(str(exc), 0) from None
 
 
+def reduce_braid(braid):
+    """The braid word after free and cyclic reduction and Markov destabilisation.
+
+    Conjugation and stabilisation do not change the closed braid (Markov), so
+    the reduced word closes to the same link with no more crossings.  Words are
+    reduced as cyclic words; a generator at either end of the strand range that
+    occurs once is rotated to the end and dropped with its outer strand.  The
+    range is kept as offsets (low, high) of the given indices and shifted once
+    at the end, so the cost depends on the letters alone, never on the strand
+    count.
+    """
+    word = []
+    for l in braid.letters:
+        if word and word[-1] == -l:
+            word.pop()
+        else:
+            word.append(l)
+    counts = {}
+    for l in word:
+        counts[abs(l)] = counts.get(abs(l), 0) + 1
+    low, high = 1, braid.strands - 1
+    while True:
+        start = 0
+        while len(word) - start >= 2 and word[start] == -word[-1]:
+            for l in (word[start], word.pop()):
+                counts[abs(l)] -= 1
+            start += 1
+        del word[:start]
+        if counts.get(high) == 1:
+            k, high = high, high - 1
+        elif counts.get(low) == 1:
+            k, low = low, low + 1
+        else:
+            break
+        i = word.index(k) if k in word else word.index(-k)
+        word = word[i + 1:] + word[:i]
+        counts[k] = 0
+    shift = low - 1
+    return BraidWord(high - low + 2, tuple(l - shift if l > 0 else l + shift for l in word))
+
+
 def torus_knot(p, q):
     """Braid word (s_1 s_2 ... s_{p-1})^q whose closure is the (p,q) torus knot."""
     if p < 2 or q < 2:
@@ -347,12 +388,18 @@ class _Assembler:
         return diagram_from_pd_tuples(tuples, name=name)
 
 
-def braid_to_diagram(braid, name=""):
-    """Close a braid word into a knot diagram; rejects multi-component closures."""
+def braid_to_diagram(braid, name="", reduce=False):
+    """Close a braid word into a knot diagram; rejects multi-component closures.
+
+    The crossing limit and the component count apply to the word as given;
+    with ``reduce`` the diagram is the closure of ``reduce_braid(braid)``.
+    """
     _check_crossings(len(braid.letters), "braid closure")
     comps = braid.closure_components()
     if comps != 1:
         raise NotAKnot(f"braid closure has {comps} components")
+    if reduce:
+        braid = reduce_braid(braid)
     asm = _Assembler()
     top = [asm.fresh() for _ in range(braid.strands)]
     cur = list(top)

@@ -229,6 +229,29 @@ def test_crossing_limit_rows_fail_fast(tmp_path):
     assert code == 1 and "ValidationError" in err and "MAX_CROSSINGS" in err
 
 
+def test_reducible_braid_over_the_crossing_limit_is_refused(tmp_path):
+    # the word reduces to the unknot, but the limit applies to the word as given
+    payload = "strands=2 " + " ".join(["1", "-1"] * 500 + ["1"])
+    code, out, err = run_cli(["knot", "analyze", "--braid", payload])
+    assert code == 1 and out == ""
+    assert "ValidationError: braid closure has 1001 crossings" in err
+    corpus = tmp_path / "big.tsv"
+    corpus.write_text(f"big\tbraid\t{payload}\n")
+    code, out, _ = run_cli(["corpus", "run", "--corpus", str(corpus), "--format", "json"])
+    assert code == 4 and "unknot" not in out
+    assert json.loads(out.splitlines()[0])["error"].startswith("ValidationError")
+
+
+def test_knot_gen_prints_the_literal_braid_closure():
+    code, out, _ = run_cli(["knot", "gen", "--braid", "strands=2 1 -1 1"])
+    assert code == 0
+    assert out == "[(1,4,2,5),(2,6,3,5),(3,6,4,1)]\n"
+    assert analyzer.diagram_from_payload("braid", "strands=2 1 -1 1").crossing_count == 0
+    code, out, _ = run_cli(["knot", "analyze", "--braid", "strands=2 1 -1 1", "--format", "json"])
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["classification"] == "unknot"
+
+
 def test_pd_input_obeys_the_crossing_limit(tmp_path, monkeypatch):
     monkeypatch.setattr(knots, "MAX_CROSSINGS", 2)
     with pytest.raises(ValidationError, match="MAX_CROSSINGS = 2"):

@@ -61,8 +61,14 @@ def test_spaceform_output_is_byte_identical(argv, golden, code):
     [
         (["corpus", "run", "--format", "json"], "corpus_run.json", 0),
         (["knot", "analyze", "--torus", "3", "5", "--format", "json"], "knot_analyze_torus_3_5.json", 0),
+        (
+            ["knot", "analyze", "--braid", "strands=4 2 2 1 2 1 2 1 2 1 2 1 -2 -3",
+             "--name", "torus(3,5)", "--format", "json"],
+            "knot_analyze_torus_3_5.json",
+            0,
+        ),
     ],
-    ids=["corpus-run-json", "analyze-torus-3-5-json"],
+    ids=["corpus-run-json", "analyze-torus-3-5-json", "analyze-markov-torus-3-5-json"],
 )
 def test_knot_output_is_byte_identical(argv, golden, code):
     assert_output_is_golden(argv, golden, code)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 from spherecover import analyzer as an
 from spherecover import knots as kn
 from spherecover.config import packaged_corpus_text
-from spherecover.errors import NotAKnot, ParseError, SpecViolation, SphereCoverError, ValidationError
+from spherecover.errors import (
+    InternalInconsistency,
+    NotAKnot,
+    ParseError,
+    SpecViolation,
+    SphereCoverError,
+    ValidationError,
+)
 from spherecover.linalg import AbelianGroup, integer_determinant
 
 import diagram_oracle
@@ -207,6 +215,132 @@ def test_three_trefoil_routes_agree():
     fingerprints = {threefree(alexander_at(d, 3)) for d in routes}
     assert dets == {3}
     assert fingerprints == {7}
+
+
+# -- Markov reduction of braid words ----------------------------------------------
+
+
+@st.composite
+def markov_moved_braids(draw):
+    """A knot braid after random rotations, conjugations, stabilisations at
+    either end and inserted x x^-1 pairs; its closure is the same knot."""
+    braid = draw(knot_braids())
+    strands, word = braid.strands, list(braid.letters)
+    moves = ["rotate", "conjugate", "stabilise-top", "stabilise-bottom", "pair"]
+    for move in draw(st.lists(st.sampled_from(moves), max_size=6)):
+        x = draw(st.integers(1, strands - 1)) * draw(st.sampled_from([1, -1]))
+        sign = draw(st.sampled_from([1, -1]))
+        if move == "rotate":
+            r = draw(st.integers(0, len(word)))
+            word = word[r:] + word[:r]
+        elif move == "conjugate":
+            word = [x] + word + [-x]
+        elif move == "stabilise-top":
+            word.append(sign * strands)
+            strands += 1
+        elif move == "stabilise-bottom":
+            word = [l + (1 if l > 0 else -1) for l in word] + [sign]
+            strands += 1
+        else:
+            at = draw(st.integers(0, len(word)))
+            word[at:at] = [x, -x]
+    return kn.BraidWord(strands, tuple(word))
+
+
+def _assert_reduces(braid):
+    reduced = kn.reduce_braid(braid)
+    assert kn.reduce_braid(reduced) == reduced
+    assert len(reduced.letters) <= len(braid.letters)
+    assert reduced.strands <= braid.strands
+    assert reduced.closure_components() == braid.closure_components()
+    return reduced
+
+
+@settings(max_examples=120, deadline=None)
+@given(markov_moved_braids())
+@example(kn.BraidWord(4, (2, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, -2, -3)))
+@example(kn.BraidWord(4, (1, 2, 1, 2, 1, 2, 1, 2, 1, -1, -3)))
+@example(kn.BraidWord(2, (1, -1, 1)))
+def test_the_reduced_word_closes_to_the_same_cover(braid):
+    reduced = _assert_reduces(braid)
+    diagram = kn.braid_to_diagram(braid, reduce=True)
+    assert diagram.pd_text() == kn.braid_to_diagram(reduced).pd_text()
+    given = an.analyze(kn.braid_to_diagram(braid), coset_cap=5000, name="k")
+    short = an.analyze(diagram, coset_cap=5000, name="k")
+    assert (short.determinant, short.h1) == (given.determinant, given.h1)
+    if an.INFINITE_OR_UNKNOWN not in (given.classification, short.classification):
+        assert short.to_record() == given.to_record()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, max(n - 1, 1)).flatmap(lambda x: st.sampled_from([x, -x])),
+                 max_size=14 if n > 1 else 0),
+    )
+))
+def test_reduction_keeps_the_link_of_any_word(word):
+    # the component count is a link invariant, so no move may change it
+    _assert_reduces(kn.BraidWord(word[0], tuple(word[1])))
+
+
+def test_reduction_examples():
+    assert kn.reduce_braid(kn.BraidWord(4, (1, 3))) == kn.BraidWord(2, ())  # two-component unlink
+    assert kn.reduce_braid(kn.BraidWord(3, (1, -2, 1, -2))) == kn.BraidWord(3, (1, -2, 1, -2))
+    # the bottom generator goes, and every index shifts down by one
+    assert kn.reduce_braid(kn.BraidWord(4, (2, 3, -1, 2, 3, 2, 3))) == kn.BraidWord(3, (1, 2, 1, 2, 1, 2))
+    assert kn.reduce_braid(kn.BraidWord(1001, tuple(range(1, 1001)) + (1000, 1000))) == kn.BraidWord(2, (1, 1, 1))
+
+
+def test_a_staircase_reduces_in_well_under_a_second():
+    for letters in (range(1, 1001), range(1000, 0, -1), range(-1, -1001, -1)):
+        t0 = time.perf_counter()
+        assert kn.reduce_braid(kn.BraidWord(1001, tuple(letters))) == kn.BraidWord(1, ())
+        assert time.perf_counter() - t0 < 0.25
+    staircase = "strands=1001 " + " ".join(str(i) for i in range(1, 1001))
+    assert an.analyze(an.diagram_from_payload("braid", staircase)).classification == an.UNKNOT
+    # the cost depends on the letters only, never on the strand count
+    assert kn.reduce_braid(kn.BraidWord(10**9, (1, 2, 1))) == kn.BraidWord(10**9, (1, 2, 1))
+    assert kn.reduce_braid(kn.BraidWord(10**9, (10**9 - 1,))) == kn.BraidWord(10**9 - 1, ())
+    assert kn.reduce_braid(kn.BraidWord(10**9, (-1,))) == kn.BraidWord(10**9 - 1, ())
+
+
+def test_the_crossing_limit_applies_to_the_word_as_given():
+    payload = "strands=2 " + " ".join(["1", "-1"] * 500 + ["1"])
+    assert kn.reduce_braid(kn.parse_braid(payload)) == kn.BraidWord(1, ())
+    with pytest.raises(ValidationError, match="braid closure has 1001 crossings"):
+        an.diagram_from_payload("braid", payload)
+    with pytest.raises(NotAKnot, match="braid closure has 2 components"):
+        an.diagram_from_payload("braid", "strands=3 1 -1 1 2 2")
+    report = an.analyze_row(("big", "braid", payload))
+    assert report.classification is None
+    assert report.error.startswith("ValidationError: braid closure has 1001 crossings")
+
+
+BRAID_TOKENS = st.one_of(
+    st.integers(-6, 6).map(str),
+    st.sampled_from(["strands=", "strands=0", "strands=-2", "strands=x", "strands=1000000000",
+                     "strands=3 1", "1e3", "+1", "--1", "1_0", "١", "0x1", "9" * 5000]),
+    st.text(max_size=5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["", "strands=1", "strands=2", "strands=3", "strands=4"]),
+    st.lists(BRAID_TOKENS, max_size=14),
+    st.sampled_from([" ", "\t", "\n", "  "]),
+    st.booleans(),
+)
+def test_braid_payloads_raise_only_input_errors(head, tokens, sep, reduce):
+    text = sep.join([head, *tokens])
+    try:
+        diagram = an.diagram_from_payload("braid", text, reduce=reduce)
+    except SphereCoverError as exc:
+        assert not isinstance(exc, InternalInconsistency), exc
+        return
+    assert isinstance(diagram, kn.KnotDiagram)
 
 
 # -- the diagram check against its oracle -----------------------------------------
