@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 from . import knots as kn
 from . import presentations as pr
-from .errors import (
-    InternalInconsistency,
-    NotAKnot,
-    ParseError,
-    SpecViolation,
-    UnclassifiedFiniteGroup,
-    ValidationError,
-)
+from .errors import InternalInconsistency, ParseError, SphereCoverError, UnclassifiedFiniteGroup
 from .linalg import AbelianGroup
 
 UNKNOT = "unknot"
@@ -161,8 +154,10 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
 def diagram_from_payload(fmt, payload, name="", reduce=True):
     """Corpus row dispatch; formats: pd, dt, braid, torus, twobridge, montesinos.
 
-    A braid row closes to its Markov-reduced word, or with ``reduce=False``
-    to the word as written.
+    A braid row closes to its Markov-reduced word, and a torus row T(p, q)
+    with p > q to the braid of T(q, p), which has (q - 1)·p crossings
+    against (p - 1)·q; with ``reduce=False`` both close the word as written.
+    The crossing limit applies to the word as written either way.
     """
     fmt = fmt.strip().lower()
     if fmt == "pd":
@@ -173,7 +168,10 @@ def diagram_from_payload(fmt, payload, name="", reduce=True):
         return kn.braid_to_diagram(kn.parse_braid(payload), name=name, reduce=reduce)
     if fmt == "torus":
         p, q = _integers(payload, 2)
-        return kn.braid_to_diagram(kn.torus_knot(p, q), name=name)
+        braid = kn.torus_knot(p, q)
+        if reduce and p > q:
+            braid = kn.torus_knot(q, p)
+        return kn.braid_to_diagram(braid, name=name)
     if fmt == "twobridge":
         p, q = _integers(payload, 2)
         return kn.two_bridge(p, q, name=name)
@@ -237,19 +235,12 @@ class CorpusSummary:
 
 
 def analyze_row(row, coset_cap=pr.DEFAULT_COSET_CAP):
-    """The report of one corpus row; a row's own failure is its report's error."""
+    """The report of one corpus row; any library error it raises is the report's error."""
     rname, fmt, payload = row
     try:
         diagram = diagram_from_payload(fmt, payload, name=rname)
         return analyze(diagram, coset_cap=coset_cap, name=rname)
-    except (
-        ParseError,
-        ValidationError,
-        NotAKnot,
-        SpecViolation,
-        InternalInconsistency,
-        UnclassifiedFiniteGroup,
-    ) as exc:
+    except SphereCoverError as exc:
         return CoverReport(rname, error=f"{type(exc).__name__}: {exc}")
 
 

@@ -154,9 +154,10 @@ def parse_pd(text, name=""):
         start = pos
         while pos < n and text[pos].isdigit():
             pos += 1
-        if pos == start:
-            raise ParseError("expected an integer", pos)
-        return int(text[start:pos])
+        try:  # int() refuses some digits ('²') and more than 4300 of them
+            return int(text[start:pos])
+        except ValueError:
+            raise ParseError("expected an integer", start) from None
 
     expect("[")
     tuples = []
@@ -308,8 +309,12 @@ class _Assembler:
 
     Raw crossings carry edge *keys* in CCW slot order with the under-strand
     on slots (u, u+2); strands run through opposite slots.  ``finish``
-    orients the single component, assigns consecutive labels, and emits
-    validated PD tuples.
+    walks the single component once from slot 0 of the first crossing and
+    labels all four slots on the way: the edge entering a slot as L leaves
+    by the opposite slot as L mod 2n + 1.  The walk records the under slot
+    it enters each crossing by, since on a one-crossing kink (2 edges)
+    label order cannot tell in from out; each PD tuple is the crossing's
+    row of labels rotated to start there.
     """
 
     def __init__(self):
@@ -339,8 +344,6 @@ class _Assembler:
         self.crossings.append((list(ends), under_slot % 2))
 
     def finish(self, name=""):
-        if not self.crossings:
-            return diagram_from_pd_tuples([], name=name)
         incidences = {}
         for ci, (ends, _) in enumerate(self.crossings):
             for slot, key in enumerate(ends):
@@ -348,43 +351,22 @@ class _Assembler:
         for key, incs in incidences.items():
             if len(incs) != 2:
                 raise ValidationError(f"edge key {key} has {len(incs)} endpoints")
-        n = len(self.crossings)
-        # traverse: enter a crossing at a slot, leave through the opposite slot
-        start_key = self.find(self.crossings[0][0][0])
-        enter = incidences[start_key][0]
-        labels = {}  # (ci, slot) -> edge label of the edge ENTERING at that slot
-        label = 0
-        edge_key = start_key
-        while True:
+        n2 = 2 * len(self.crossings)
+        rows = [[0] * 4 for _ in self.crossings]
+        under_in = [0] * len(self.crossings)
+        ci, slot, label = 0, 0, 0
+        while not rows[ci][slot]:  # back at a labelled slot: the walk has closed
             label += 1
-            ci, slot = enter
-            labels[(ci, slot)] = label
-            out_slot = (slot + 2) % 4
-            edge_key = self.find(self.crossings[ci][0][out_slot])
-            inc1, inc2 = incidences[edge_key]
-            enter = inc2 if inc1 == (ci, out_slot) else inc1
-            if edge_key == start_key:
-                break
-        if label != 2 * n:
-            raise NotAKnot(f"{label} of {2 * n} edges on the first component")
-        tuples = []
-        n2 = 2 * n
-        for ci, (ends, under_slot) in enumerate(self.crossings):
-            in_slots = [s for s in range(4) if (ci, s) in labels]
-            if len(in_slots) != 2:
-                raise InternalInconsistency("each crossing is entered exactly twice")
-            a_slot = under_slot if under_slot in in_slots else under_slot + 2
-            if a_slot not in in_slots:
-                raise InternalInconsistency("under strand never enters its crossing")
-            quad = []
-            for off in range(4):
-                s = (a_slot + off) % 4
-                if s in in_slots:
-                    quad.append(labels[(ci, s)])
-                else:
-                    # outgoing edge: its label is successor of the entering one
-                    quad.append(_succ(labels[(ci, (s + 2) % 4)], n2))
-            tuples.append(tuple(quad))
+            ends, under_slot = self.crossings[ci]
+            out = (slot + 2) % 4
+            rows[ci][slot], rows[ci][out] = label, label % n2 + 1
+            if slot % 2 == under_slot:
+                under_in[ci] = slot
+            inc1, inc2 = incidences[self.find(ends[out])]
+            ci, slot = inc2 if inc1 == (ci, out) else inc1
+        if label != n2:
+            raise NotAKnot(f"{label} of {n2} edges on the first component")
+        tuples = [tuple(row[u:] + row[:u]) for row, u in zip(rows, under_in)]
         return diagram_from_pd_tuples(tuples, name=name)
 
 

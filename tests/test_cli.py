@@ -12,7 +12,7 @@ import pytest
 from spherecover import analyzer, cli, groups, knots, orbits, presentations
 from spherecover.cache import ResultCache
 from spherecover.config import RunConfig, load_config
-from spherecover.errors import ConfigError, InternalInconsistency, ValidationError
+from spherecover.errors import ConfigError, InternalInconsistency, NotIndexTwo, ValidationError
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -250,6 +250,76 @@ def test_knot_gen_prints_the_literal_braid_closure():
     code, out, _ = run_cli(["knot", "analyze", "--braid", "strands=2 1 -1 1", "--format", "json"])
     assert code == 0
     assert json.loads(out.splitlines()[0])["classification"] == "unknot"
+
+
+def test_torus_rows_are_analysed_on_the_braid_with_fewer_strands(monkeypatch):
+    closed = []
+    braid_to_diagram = knots.braid_to_diagram
+
+    def closing(braid, **kwargs):
+        closed.append(braid)
+        return braid_to_diagram(braid, **kwargs)
+
+    monkeypatch.setattr(knots, "braid_to_diagram", closing)
+    code, out, _ = run_cli(["knot", "analyze", "--torus", "7", "2", "--format", "json"])
+    assert code == 0 and closed == [knots.torus_knot(2, 7)]
+    swapped = json.loads(out.splitlines()[0])
+    code, out, _ = run_cli(["knot", "analyze", "--torus", "2", "7", "--format", "json"])
+    assert code == 0
+    assert {**swapped, "name": "torus(2,7)"} == json.loads(out.splitlines()[0])
+    assert swapped["name"] == "torus(7,2)"
+
+
+def test_knot_gen_prints_the_torus_closure_as_written():
+    code, out, _ = run_cli(["knot", "gen", "--torus", "7", "2"])
+    assert code == 0
+    assert out == (
+        "[(1,14,2,15),(12,15,13,16),(23,16,24,17),(10,17,11,18),(21,18,22,19),(8,19,9,20),"
+        "(13,2,14,3),(24,3,1,4),(11,4,12,5),(22,5,23,6),(9,6,10,7),(20,7,21,8)]\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "gen"])
+def test_the_torus_crossing_limit_applies_to_the_braid_as_written(command):
+    # T(2, 503) has 503 crossings, but torus(503,2) is refused on its 1004
+    code, out, err = run_cli(["knot", command, "--torus", "503", "2"])
+    assert (code, out) == (1, "")
+    assert err == "ValidationError: torus(503,2) has 1004 crossings, above the limit MAX_CROSSINGS = 1000\n"
+
+
+KNOT_GEN_PINS = {
+    "kink": (["--braid", "strands=2 1"], 0, "[(1,2,2,1)]\n", ""),
+    "kink-inverse": (["--braid", "strands=2 -1"], 0, "[(2,2,1,1)]\n", ""),
+    "montesinos-link": (
+        ["--montesinos", "e=1; 1/3 1/5 1/7"], 1, "", "NotAKnot: 16 of 32 edges on the first component\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args, code, out, err", KNOT_GEN_PINS.values(), ids=KNOT_GEN_PINS.keys())
+def test_knot_gen_pins(args, code, out, err):
+    assert run_cli(["knot", "gen", *args]) == (code, out, err)
+
+
+def test_any_library_error_of_a_row_is_that_rows_error(tmp_path, monkeypatch):
+    calls = []
+    branched_cover_group = presentations.branched_cover_group
+
+    def fails_once(outcome):
+        calls.append(outcome)
+        if len(calls) == 1:  # the first row, in corpus order
+            raise NotIndexTwo("meridian parity is not onto Z/2")
+        return branched_cover_group(outcome)
+
+    monkeypatch.setattr(presentations, "branched_cover_group", fails_once)
+    corpus = tmp_path / "two.tsv"
+    corpus.write_text("a\ttwobridge\t3 1\nb\ttwobridge\t5 3\n")
+    code, out, _ = run_cli(["corpus", "run", "--corpus", str(corpus), "--format", "json"])
+    assert code == 4
+    a, b = (json.loads(line) for line in out.splitlines()[:2])
+    assert a == {**analyzer.CoverReport("a").to_record(), "error": "NotIndexTwo: meridian parity is not onto Z/2"}
+    assert (b["name"], b["classification"], "error" in b) == ("b", "cyclic(5)", False)
+    assert out.splitlines()[2:] == ["violations: 0", "row_errors: 1"]
 
 
 def test_pd_input_obeys_the_crossing_limit(tmp_path, monkeypatch):

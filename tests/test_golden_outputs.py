@@ -11,7 +11,8 @@ path may change a printed byte or an exit code.  The orbit files were
 recorded while the profile was still evaluated with numpy and the
 geodesics by quadrature.  The ``knot gen`` files were recorded while the
 diagram check still walked the edge successors, found arcs by union-find
-and validated every crossing choice of a DT code.
+and validated every crossing choice of a DT code, and while the assembler
+of generated diagrams still labelled their crossing slots in two passes.
 """
 
 import os

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from spherecover.errors import (
 )
 from spherecover.linalg import AbelianGroup, integer_determinant
 
+import assembler_oracle
 import diagram_oracle
 import snf_oracle
 from test_cover_group import markov_torus_braid
@@ -334,13 +336,46 @@ BRAID_TOKENS = st.one_of(
     st.booleans(),
 )
 def test_braid_payloads_raise_only_input_errors(head, tokens, sep, reduce):
-    text = sep.join([head, *tokens])
+    _assert_only_input_errors("braid", sep.join([head, *tokens]), reduce)
+
+
+def _assert_only_input_errors(fmt, text, reduce):
     try:
-        diagram = an.diagram_from_payload("braid", text, reduce=reduce)
+        diagram = an.diagram_from_payload(fmt, text, reduce=reduce)
     except SphereCoverError as exc:
         assert not isinstance(exc, InternalInconsistency), exc
         return
     assert isinstance(diagram, kn.KnotDiagram)
+
+
+PAYLOAD_HEADS = {
+    "pd": ["", "[", "[(1,2,2,1)", TREFOIL_PD, "[(1,4,2,5),(3,6,4,1)"],
+    "dt": ["", "4 6 2", "2", "-2"],
+    "torus": ["", "2", "3", "7", "503"],
+    "twobridge": ["", "1", "5", "15", "1000001"],
+    "montesinos": ["", "e=0;", "e=-1; 1/3", "e=1; 1/3 1/5", "e="],
+}
+PAYLOAD_TOKENS = st.one_of(
+    BRAID_TOKENS,
+    st.sampled_from(["[", "]", "(", ")", ",", "(1,2,2,1)", "/", ";", "e=", "1/3", "2/5", "1/0",
+                     "-1/3", "²"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(PAYLOAD_HEADS)).flatmap(
+        lambda fmt: st.tuples(st.just(fmt), st.sampled_from(PAYLOAD_HEADS[fmt]))
+    ),
+    st.lists(PAYLOAD_TOKENS, max_size=6),
+    st.sampled_from([" ", "\t", "", ","]),
+    st.booleans(),
+)
+@example(("pd", "["), ["(1,2,2,", "²", ")]"], "", True)
+@example(("pd", "[(1,2,2,"), ["9" * 5000, ")]"], "", True)
+def test_other_payloads_raise_only_input_errors(head, tokens, sep, reduce):
+    fmt, head = head
+    _assert_only_input_errors(fmt, sep.join([head, *tokens]), reduce)
 
 
 # -- the diagram check against its oracle -----------------------------------------
@@ -433,6 +468,49 @@ def test_every_small_dt_code_matches_the_oracle():
     assert len(codes) == 4282
     for code in codes:
         assert _outcome(kn.parse_dt, code, "x") == _outcome(diagram_oracle.parse_dt, code, "x"), code
+
+
+# -- the assembler against its oracle ----------------------------------------------
+
+
+def _any_braid_closure(braid, reduce):
+    # past the component count, a link reaches the assembler's walk
+    with mock.patch.object(kn.BraidWord, "closure_components", lambda self: 1):
+        return kn.braid_to_diagram(braid, reduce=reduce)
+
+
+def _assemblies():
+    braids = st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.integers(1, max(n - 1, 1)).flatmap(lambda x: st.sampled_from([x, -x])),
+            max_size=14 if n > 1 else 0,
+        ).map(lambda w: kn.BraidWord(n, tuple(w)))
+    )
+    fractions = st.integers(0, 29).flatmap(
+        lambda h: st.tuples(st.just(2 * h + 1), st.integers(1, max(2 * h, 1)))
+    )
+    sums = st.tuples(
+        st.integers(-3, 3),
+        st.lists(st.tuples(st.integers(1, 9), st.sampled_from([1, 3, 5, 7, 9])), min_size=1, max_size=4),
+    )
+    return st.one_of(
+        st.tuples(st.just(_any_braid_closure), braids, st.booleans()),
+        fractions.map(lambda pq: (kn.two_bridge, *pq)),
+        sums.map(lambda es: (kn.montesinos, *es)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_assemblies())
+@example((_any_braid_closure, kn.BraidWord(2, (1,)), False))
+@example((_any_braid_closure, kn.BraidWord(2, (-1,)), False))
+@example((_any_braid_closure, kn.BraidWord(2, (1, 1)), False))  # Hopf link
+@example((kn.montesinos, 1, [(1, 3), (1, 5), (1, 7)]))  # a two-component link
+def test_the_assembler_matches_its_oracle(built):
+    build, *args = built
+    ours = _outcome(build, *args)
+    with mock.patch.object(kn._Assembler, "finish", assembler_oracle.finish):
+        assert ours == _outcome(build, *args)
 
 
 # -- generators ---------------------------------------------------------------
