@@ -3,8 +3,9 @@
 For each diagram the pipeline computes the determinant and the homology
 of the double branched cover from the crossing incidence matrix, then
 independently enumerates the meridian-squared quotient of the knot group,
-on its Tietze-reduced Wirtinger presentation, and extracts the cover group
-as the parity kernel of the regular action.
+on its Tietze-reduced Wirtinger presentation, over the cosets of one
+meridian, and reads the cover group off that table: the parity kernel acts
+on those cosets simply transitively.
 The two routes must agree (the homology order is the determinant), the
 cover order must never be 2, and order 1 must coincide with determinant 1
 -- the report carries these consistency bits rather than assuming them.
@@ -99,7 +100,13 @@ def classify_finite(group, abelianization):
 
 
 def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
-    """Full pipeline on one diagram; raises on internal inconsistencies."""
+    """Full pipeline on one diagram; raises on internal inconsistencies.
+
+    The orbifold group G is enumerated over the cosets of <x1>, x1 the
+    first bridge generator, with at most ``coset_cap`` live cosets.  The
+    index d is the cover order, and G has order 2 d once
+    :func:`~spherecover.presentations.branched_cover_group` has shown x1 != 1.
+    """
     t0 = time.perf_counter()
     report = CoverReport(name or diagram.name or "knot")
     det = kn.determinant(diagram)
@@ -117,10 +124,10 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
         )
     pres = pr.bridge_presentation(pr.wirtinger(diagram))
     orb = pr.orbifold_quotient(pres)
-    outcome = pr.todd_coxeter(orb, cap=coset_cap)
+    outcome = pr.todd_coxeter(orb, cap=coset_cap, fixed=(1,))
     if outcome.finite:
-        report.orbifold_order = outcome.order
         cover_order, cover = pr.branched_cover_group(outcome)
+        report.orbifold_order = 2 * cover_order
         report.cover_order = cover_order
         cover_ab = cover.abelianization()
         if cover_ab.order() != det:

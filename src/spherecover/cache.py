@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 
-ALGO_VERSION = "spherecover-pipeline/1"
+ALGO_VERSION = "spherecover-pipeline/2"
 
 
 class ResultCache:

@@ -11,24 +11,28 @@ and is certified, not scanned; any other generator has a column for itself
 and one for its inverse.  A completed table is compacted
 once and certified post hoc -- all relators, squares included, trace to the
 identity from every coset and the action is transitive -- before an order
-is reported.  The first definition that would exceed the coset cap
+is reported.  The cosets are those of the subgroup generated by the
+``fixed`` generators, each entered as the deduction that it fixes coset 0;
+with none, they are the cosets of the trivial subgroup and the table is the
+right regular action.  The first definition that would exceed the coset cap
 (counted in live cosets) ends the run at once, with a table without an
 order, never a guess.
 
-The double-branched-cover group of a knot is the index-2 kernel of the
-meridian parity map on the orbifold quotient (knot group modulo meridian
+The double-branched-cover group of a knot is the index-2 kernel K of the
+meridian parity map on the orbifold quotient G (knot group modulo meridian
 squares).  The knot group enters through its Wirtinger presentation,
 Tietze-reduced by ``bridge_presentation`` to a few arc generators, all of
-them meridians.  A completed table is the right regular action of the
-orbifold group, so the kernel is read off it alone: each Schreier generator
-g t^-1 or t g acts on cosets as the composition of two table columns, and
-the kernel is closed on those integer maps.  No product in the orbifold
-group is ever formed.
+them meridians.  A meridian x1 is an odd involution, so it meets K
+trivially, G = K x| <x1>, and K acts simply transitively on the cosets of
+<x1>: their table, half the size of the regular one, carries K alone.  Each
+Schreier generator g t^-1 or t g acts on cosets as the composition of two
+table columns, and the kernel is closed on those integer maps.  No product
+in the orbifold group is ever formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency, NotIndexTwo, ValidationError
 from .groups import FiniteGroup, greedy_closure
@@ -230,15 +234,21 @@ def orbifold_quotient(pres):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Regular action of a completed enumeration, or the cap it hit.
+    """Action of a completed enumeration on the cosets of H, or the cap it hit.
 
-    ``perms[g][c]`` is the coset of c times generator g; a capped
-    enumeration has neither ``order`` nor ``perms``.
+    H is generated by the ``fixed`` generators; with none it is trivial
+    and the action is the regular one.  ``order`` is the index of H and
+    ``perms[g][c]`` the coset of c times generator g; a capped enumeration
+    has neither ``order`` nor ``perms``.  ``relators`` are the cyclically
+    reduced relators the table was certified against; they are not part of
+    the table's value.
     """
 
     cap: int
     order: int | None = None
     perms: tuple | None = None
+    fixed: tuple = ()
+    relators: tuple = field(default=(), compare=False)
 
     @property
     def finite(self):
@@ -246,9 +256,10 @@ class CosetTable:
 
 
 class _Enumerator:
-    def __init__(self, pres, cap):
+    def __init__(self, pres, cap, fixed=()):
         self.ngens = pres.ngens
         self.cap = cap
+        self.fixed = tuple(fixed)
         self.relators = [r for r in map(cyclic_reduce, pres.relators) if r]
         squares = {r for r in self.relators if len(r) == 2 and r[0] == r[1]}
         involutions = {abs(r[0]) for r in squares}
@@ -279,6 +290,8 @@ class _Enumerator:
         # Coset c owns entries c*ncols .. c*ncols + ncols - 1 of one flat
         # table, and a defined entry holds the base offset of its coset.
         self.table = [-1] * self.ncols
+        for g in self.fixed:  # the deduction 0 * g = 0
+            self.table[col[g]] = self.table[col[-g]] = 0
         self.p = [0]
         self.dead = 0
 
@@ -375,7 +388,7 @@ class _Enumerator:
                             step = stepwise or (b == f and back[j] == word[i])
                             count = 1 if step else j - i
                             if top + count > limit:
-                                return CosetTable(self.cap)
+                                return CosetTable(self.cap, fixed=self.fixed)
                             p.extend(range(top, top + count))
                             top += count
                             table += blank * count
@@ -396,7 +409,7 @@ class _Enumerator:
                     for x in range(n):
                         if table[row + x] == -1:
                             if top >= limit:
-                                return CosetTable(self.cap)
+                                return CosetTable(self.cap, fixed=self.fixed)
                             p.append(top)
                             top += 1
                             table += blank
@@ -423,38 +436,37 @@ class _Enumerator:
         for g in range(1, self.ngens + 1):
             col = self.col[g]
             perms.append(tuple([index[table[row + col] // n] for row in rows]))
-        table = CosetTable(self.cap, len(live), tuple(perms))
+        table = CosetTable(self.cap, len(live), tuple(perms), self.fixed, tuple(self.relators))
         if not certify_table(table, self.relators):
             raise InternalInconsistency("completed coset table fails its certificate")
         return table
 
 
 def _search(perms, n):
-    """Breadth-first search of a coset table from coset 0.
+    """The cosets a breadth-first search from coset 0 reaches, in that order.
 
-    Returns the cosets in the order it reaches them and, per coset, the
-    parity of its depth (-1 where unreached).  A permutation's inverse is
-    one of its powers, so the columns alone reach the whole orbit.
+    A permutation's inverse is one of its powers, so the columns alone
+    reach the whole orbit.
     """
-    parity = [-1] * n
-    parity[0] = 0
+    seen = [False] * n
+    seen[0] = True
     order = [0]
     for c in order:
-        flip = parity[c] ^ 1
         for perm in perms:
             d = perm[c]
-            if parity[d] < 0:
-                parity[d] = flip
+            if not seen[d]:
+                seen[d] = True
                 order.append(d)
-    return order, parity
+    return order
 
 
 def certify_table(table, relators):
     """Closed-table certificate: bijectivity, transitivity, relator identity.
 
     Each column must be a permutation of 0..n-1: of length n, every entry
-    in range, no entry repeated.  Every relator is traced from all cosets
-    at once, one letter at a time; a letter naming no column fails it.
+    in range, no entry repeated, and each fixed generator must fix coset
+    0.  Every relator is traced from all cosets at once, one letter at a
+    time; a letter naming no column fails it.
     """
     if not table.finite or table.order < 1:
         return False
@@ -470,7 +482,9 @@ def certify_table(table, relators):
         if -1 in ip:  # n entries in range miss a value only if one repeats
             return False
         steps[g], steps[-g] = perm, ip
-    if len(_search(perms, n)[0]) != n:  # transitivity
+    if any(g not in steps or steps[g][0] != 0 for g in table.fixed):
+        return False
+    if len(_search(perms, n)) != n:  # transitivity
         return False
     cosets = list(range(n))
     for rel in relators:
@@ -485,37 +499,51 @@ def certify_table(table, relators):
     return True
 
 
-def todd_coxeter(pres, cap=DEFAULT_COSET_CAP):
-    """Enumerate cosets of the trivial subgroup; deterministic HLT strategy."""
+def todd_coxeter(pres, cap=DEFAULT_COSET_CAP, fixed=()):
+    """Enumerate the cosets of <fixed>; deterministic HLT strategy.
+
+    ``fixed`` lists generators 1..ngens; with none the subgroup is trivial
+    and the table is the regular action.  ``cap`` bounds the live cosets.
+    """
     if cap < 1:
         raise ValidationError("coset cap must be >= 1")
-    return _Enumerator(pres, cap).run()
+    if any(not 1 <= g <= pres.ngens for g in fixed):
+        raise ValidationError(f"fixed generators {fixed!r} out of range")
+    return _Enumerator(pres, cap, fixed).run()
 
 
 # -- groups read off coset tables -----------------------------------------------------
 
 
 def branched_cover_group(outcome):
-    """Index-2 kernel of the meridian parity map, closed on the coset table.
+    """Index-2 kernel K of the meridian parity map, closed on the coset table.
 
-    Returns (order, FiniteGroup).  Cosets are colored by parity along a
-    breadth-first search, and every column must swap the colors.  The
-    kernel is generated by the Schreier elements g * t^-1 and t * g over
-    the transversal {identity, t}, with t the first generator.  A
-    completed table is the regular action, so a Schreier element acts on
-    cosets as the composition of two columns, and the coset it takes 0 to
-    names it.  They are taken in search order, the order in which closure
-    on the table finds the elements of the orbifold group; those that
-    enlarge the kernel are kept (:func:`~spherecover.groups.greedy_closure`),
-    and the kernel is closed on their actions.  Its elements are cosets,
+    Returns (order, FiniteGroup).  The table's cosets are those of H, the
+    trivial subgroup or <x1> with x1 the first generator and x1^2 a
+    relator.  The parity map exists when every relator has even length.
+    K is generated by the Schreier elements g * t^-1 and t * g over the
+    transversal {identity, t}, with t = x1.  Each acts on cosets as the
+    composition of two columns, and the coset it takes 0 to names it.
+    They are taken in search order, the order in which closure on the
+    table finds the cosets; those that enlarge the kernel are kept
+    (:func:`~spherecover.groups.greedy_closure`), and the kernel is closed
+    on their actions, over the orbit of coset 0.  Its elements are cosets,
     and x * k is the action of k on x.
+
+    That reading needs K to act simply transitively on the orbit, a
+    theorem for both kinds of table: K meets every conjugate of H
+    trivially, x1 being odd.  It is checked, not assumed: Schreier actions
+    that take 0 to the same coset must be equal, every one must commute
+    with the kernel's left columns read along its tree, so the kernel is a
+    Cayley table of K, and then |K| must be n |H| / 2.
+    On the cosets of <x1> that count also shows x1 != 1, so |G| = 2 |K|.
     """
     if not outcome.finite:
         raise ValidationError("a group needs a completed enumeration")
-    n, perms = outcome.order, outcome.perms
-    order, color = _search(perms, n)
-    flipped = [c ^ 1 for c in color]
-    if not perms or any([color[d] for d in perm] != flipped for perm in perms):
+    n, perms, relators = outcome.order, outcome.perms, outcome.relators
+    if outcome.fixed not in ((), (1,)) or outcome.fixed and (1, 1) not in relators:
+        raise ValidationError("the cover reads cosets of the trivial subgroup or of <x1>, x1^2 = 1")
+    if not perms or any(len(r) % 2 for r in relators):
         raise NotIndexTwo("meridian parity map is not onto Z/2")
     t = perms[0]
     tinv = [0] * n
@@ -524,9 +552,20 @@ def branched_cover_group(outcome):
     actions = {}
     for g in perms:
         for action in ([tinv[y] for y in g], [g[y] for y in t]):
-            actions.setdefault(action[0], action)
+            if actions.setdefault(action[0], action) != action:
+                raise InternalInconsistency("parity kernel does not act simply transitively")
+    order = _search(perms, n)
     _, kept = greedy_closure(sorted(actions, key=order.index), lambda x, k: actions[k][x], n)
     kernel = FiniteGroup.map_closure([actions[k] for k in kept], n)
-    if 2 * len(kernel) != n:
+    labels = kernel.elements
+    for lcol in kernel.left:
+        move = [-1] * n  # the left column on cosets; -1 off the orbit
+        for x, y in zip(labels, lcol):
+            move[x] = labels[y]
+        moved = [move[x] for x in labels]
+        for action in actions.values():
+            if [move[action[x]] for x in labels] != [action[y] for y in moved]:
+                raise InternalInconsistency("parity kernel does not act simply transitively")
+    if 2 * len(kernel) != n * (2 if outcome.fixed else 1):
         raise InternalInconsistency("parity kernel must have index two")
     return len(kernel), kernel

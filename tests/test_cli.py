@@ -556,6 +556,14 @@ def test_cache_key_includes_caps(tmp_path):
     assert cache.get(k1) == b"payload"
 
 
+def test_cache_key_includes_the_algorithm_version(monkeypatch):
+    # entries of the regular enumeration may hold an infinite_or_unknown
+    # that the cosets of one meridian decide at the same cap
+    key = ResultCache.key_for("[]", "pd", 200)
+    monkeypatch.setattr("spherecover.cache.ALGO_VERSION", "spherecover-pipeline/1")
+    assert ResultCache.key_for("[]", "pd", 200) != key
+
+
 def test_every_leaf_subcommand_has_a_handler():
     def leaves(parser, path):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -13,6 +13,10 @@ geodesics by quadrature.  The ``knot gen`` files were recorded while the
 diagram check still walked the edge successors, found arcs by union-find
 and validated every crossing choice of a DT code, and while the assembler
 of generated diagrams still labelled their crossing slots in two passes.
+One knot file, T(3,5) at coset cap 200, records an intended change: the
+enumeration over the cosets of one meridian completes below that cap,
+where the regular enumeration peaked above it and reported
+``infinite_or_unknown``.
 """
 
 import os
@@ -68,8 +72,19 @@ def test_spaceform_output_is_byte_identical(argv, golden, code):
             "knot_analyze_torus_3_5.json",
             0,
         ),
+        # completes below cap 200 only over the cosets of one meridian
+        (
+            ["knot", "analyze", "--torus", "3", "5", "--coset-cap", "200", "--format", "json"],
+            "knot_analyze_torus_3_5_cap_200.json",
+            0,
+        ),
     ],
-    ids=["corpus-run-json", "analyze-torus-3-5-json", "analyze-markov-torus-3-5-json"],
+    ids=[
+        "corpus-run-json",
+        "analyze-torus-3-5-json",
+        "analyze-markov-torus-3-5-json",
+        "analyze-torus-3-5-cap-200-json",
+    ],
 )
 def test_knot_output_is_byte_identical(argv, golden, code):
     assert_output_is_golden(argv, golden, code)

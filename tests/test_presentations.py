@@ -301,6 +301,18 @@ def test_coset_cap_counts_peak_live_cosets(monkeypatch):
     assert below.order is None
 
 
+def test_fixed_generators_enumerate_the_cosets_of_their_subgroup():
+    # S4 = <a, b | a^2, b^3, (ab)^4>: <a> has index 12, <b> index 8
+    pres = pr.GroupPresentation.make(2, [(1, 1), (2, 2, 2), (1, 2) * 4])
+    for fixed, index in [((), 24), ((1,), 12), ((2,), 8), ((1, 2), 1)]:
+        table = pr.todd_coxeter(pres, 100, fixed)
+        assert (table.order, table.fixed) == (index, fixed)
+        assert pr.certify_table(table, pres.relators)
+        assert all(table.perms[g - 1][0] == 0 for g in fixed)
+    capped = pr.todd_coxeter(pres, 5, (1,))
+    assert not capped.finite and capped.fixed == (1,)
+
+
 def test_completed_tables_are_certified():
     pres = pr.GroupPresentation.make(2, [(1, 1, 1), (2, 2), (1, 2, 1, 2)])
     out = pr.todd_coxeter(pres, 1000)
@@ -335,6 +347,17 @@ def d12_with(column, perm):
     perms = list(table.perms)
     perms[column] = perm(list(perms[column]))
     return pr.CosetTable(table.cap, table.order, tuple(perms))
+
+
+def test_fixed_generators_are_in_range_and_fix_coset_zero():
+    for fixed in [(0,), (3,), (-1,)]:
+        with pytest.raises(ValidationError):
+            pr.todd_coxeter(D12, 100, fixed)
+    # <b> has index 2 in D12, and a moves coset 0
+    table = pr.todd_coxeter(D12, 100, (2,))
+    assert table.order == 2 and pr.certify_table(table, D12.relators)
+    assert not pr.certify_table(pr.CosetTable(table.cap, 2, table.perms, (1,)), D12.relators)
+    assert not pr.certify_table(pr.CosetTable(table.cap, 2, table.perms, (3,)), D12.relators)
 
 
 # With no relators to trace, only the bijectivity and transitivity checks
