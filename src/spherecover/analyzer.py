@@ -1,14 +1,16 @@
 """Knot in, branched-double-cover report out.
 
-For each diagram the pipeline computes the determinant and the homology
-of the double branched cover from the crossing incidence matrix, then
-independently enumerates the meridian-squared quotient of the knot group,
-on its Tietze-reduced Wirtinger presentation, over the cosets of one
-meridian, and reads the cover group off that table: the parity kernel acts
-on those cosets simply transitively.
-The two routes must agree (the homology order is the determinant), the
-cover order must never be 2, and order 1 must coincide with determinant 1
--- the report carries these consistency bits rather than assuming them.
+For each diagram the pipeline Tietze-reduces the Wirtinger presentation
+of the knot group and reads the determinant off its Fox matrix at t = -1,
+and computes the homology of the double branched cover from the crossing
+incidence matrix; the homology order must be the determinant, which ties
+the reduced presentation to the diagram on every row.  It then enumerates
+the meridian-squared quotient of that presentation over the cosets of one
+meridian and reads the cover group off the table: the parity kernel acts
+on those cosets simply transitively.  A finite cover's abelianization
+must be the homology, the cover order must never be 2, and order 1 must
+coincide with determinant 1 -- the report carries these consistency bits
+rather than assuming them.
 
 Finite cover groups fall into exactly three families: cyclic (abelian
 case -- a non-cyclic abelian cover would be a contradiction and raises),
@@ -109,7 +111,8 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
     """
     t0 = time.perf_counter()
     report = CoverReport(name or diagram.name or "knot")
-    det = kn.determinant(diagram)
+    pres = pr.bridge_presentation(pr.wirtinger(diagram))
+    det = pr.meridian_determinant(pres)
     h1 = kn.h1_double_cover(diagram)
     report.determinant = det
     report.h1 = h1
@@ -122,7 +125,6 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
         raise InternalInconsistency(
             f"{report.name}: determinant {det} != homology order {h1.order()}"
         )
-    pres = pr.bridge_presentation(pr.wirtinger(diagram))
     orb = pr.orbifold_quotient(pres)
     outcome = pr.todd_coxeter(orb, cap=coset_cap, fixed=(1,))
     if outcome.finite:

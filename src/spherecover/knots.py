@@ -11,9 +11,10 @@ these rules; anything else is rejected, which in particular enforces the
 knots-only (single component) invariant.
 
 Wirtinger arcs are the over-strand runs: edges glued across the two over
-slots of every crossing.  The determinant and the homology of the double
-branched cover come from the crossing/arc incidence matrix evaluated at
--1 (one redundant row and column dropped).
+slots of every crossing.  The homology of the double branched cover comes
+from the crossing/arc incidence matrix evaluated at -1 (one redundant row
+and column dropped), and so does the determinant of the diagram-level
+route, which the tests compare with the pipeline's Fox determinant.
 """
 
 from __future__ import annotations
@@ -637,7 +638,13 @@ def _crossing_arc_matrix(diagram):
 
 
 def determinant(diagram):
-    """|H_1| of the double branched cover: |det| of the deleted incidence matrix."""
+    """|H_1| of the double branched cover: |det| of the deleted incidence matrix.
+
+    The diagram-level route, a dense Bareiss elimination in O(n^3).  The
+    pipeline reads the determinant off the reduced presentation instead
+    (``presentations.meridian_determinant``); the tests use this as its
+    oracle.
+    """
     n = diagram.crossing_count
     if n == 0:
         return 1

@@ -22,12 +22,16 @@ The double-branched-cover group of a knot is the index-2 kernel K of the
 meridian parity map on the orbifold quotient G (knot group modulo meridian
 squares).  The knot group enters through its Wirtinger presentation,
 Tietze-reduced by ``bridge_presentation`` to a few arc generators, all of
-them meridians.  A meridian x1 is an odd involution, so it meets K
-trivially, G = K x| <x1>, and K acts simply transitively on the cosets of
-<x1>: their table, half the size of the regular one, carries K alone.  Each
-Schreier generator g t^-1 or t g acts on cosets as the composition of two
-table columns, and the kernel is closed on those integer maps.  No product
-in the orbifold group is ever formed.
+them meridians; ``meridian_determinant`` reads the knot determinant off
+that presentation's Fox matrix at t = -1 in place of the crossing
+matrix; when the reduction runs to the end on a 4-strand braid closure
+that matrix is at most 3 x 3.  A meridian x1 is an odd
+involution, so it meets K trivially, G = K x| <x1>, and K acts simply
+transitively on the cosets of <x1>: their table, half the size of the
+regular one, carries K alone.  Each Schreier generator g t^-1 or t g acts
+on cosets as the composition of two table columns, and the kernel is
+closed on those integer maps.  No product in the orbifold group is ever
+formed.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency, NotIndexTwo, ValidationError
 from .groups import FiniteGroup, greedy_closure
+from .linalg import integer_determinant
 
 DEFAULT_COSET_CAP = 200_000
 MAX_RELATOR_LENGTH = 128  # Tietze elimination stops before a longer relator
@@ -221,6 +226,31 @@ def bridge_presentation(pres):
         len(survivors),
         [tuple(index[l] if l > 0 else -index[-l] for l in r) for r in rels],
     )
+
+
+def meridian_determinant(pres):
+    """|Δ(-1)|, the knot determinant, from a presentation of a knot group by meridians.
+
+    Every meridian maps to t in the abelianization, so at t = -1 the Fox
+    derivative of a relator along generator j is the sum of (-1)^p over the
+    positions p of j in the relator, whatever the letter's sign.  For a
+    presentation of deficiency one the columns add up to zero, and deleting
+    the last leaves a square matrix whose determinant is ±Δ(-1) (Crowell and
+    Fox, *Introduction to Knot Theory*, 1963).
+    """
+    k = pres.ngens
+    if len(pres.relators) != k - 1:
+        raise InternalInconsistency(
+            f"{len(pres.relators)} relators on {k} meridians; a knot group "
+            f"presentation of deficiency one has {k - 1}"
+        )
+    rows = []
+    for rel in pres.relators:
+        row = [0] * k
+        for p, letter in enumerate(rel):
+            row[abs(letter) - 1] += -1 if p & 1 else 1
+        rows.append(row[:-1])
+    return abs(integer_determinant(rows))
 
 
 def orbifold_quotient(pres):

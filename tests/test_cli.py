@@ -5,14 +5,23 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecover import analyzer, cli, groups, knots, orbits, presentations
 from spherecover.cache import ResultCache
 from spherecover.config import RunConfig, load_config
-from spherecover.errors import ConfigError, InternalInconsistency, NotIndexTwo, ValidationError
+from spherecover.errors import (
+    ConfigError,
+    InternalInconsistency,
+    NotIndexTwo,
+    ParseError,
+    ValidationError,
+)
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
@@ -164,6 +173,25 @@ def test_internal_inconsistency_has_its_own_exit(monkeypatch, tmp_path):
     code, out, _ = run_cli(["corpus", "run", "--corpus", str(corpus)])
     assert code == 4
     assert "row_errors: 1" in out
+
+
+def test_a_reduced_presentation_of_another_group_is_an_internal_inconsistency(monkeypatch):
+    # Fox entries at t = -1 ignore letter signs, so the corruption renames a
+    # letter instead of inverting it.  The enumeration of the wrong group
+    # hits cap 2000, so only the determinant check can catch it.
+    bridge_presentation = presentations.bridge_presentation
+
+    def another_group(pres):
+        reduced = bridge_presentation(pres)
+        first, *rest = reduced.relators
+        g = abs(first[0]) % reduced.ngens + 1
+        renamed = (g if first[0] > 0 else -g,) + first[1:]
+        return presentations.GroupPresentation.make(reduced.ngens, [renamed, *rest])
+
+    monkeypatch.setattr(presentations, "bridge_presentation", another_group)
+    code, out, err = run_cli(["knot", "analyze", "--torus", "4", "5", "--coset-cap", "2000"])
+    assert (code, out) == (5, "")
+    assert err.startswith("InternalInconsistency: torus(4,5): ")
 
 
 def test_corpus_run_with_cache_byte_identical(tmp_path):
@@ -629,3 +657,103 @@ def test_corpus_cache_entry_that_is_a_directory_is_an_input_error(tmp_path):
 def test_usage_error_maps_to_input_exit():
     code, _, _ = run_cli(["knot", "analyze", "--nonsense"])
     assert code == 1
+
+
+# -- fuzzing the corpus file and the knot commands ---------------------------------
+
+# a name or format field: no tab and nothing str.splitlines breaks at
+_FIELD = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=10
+)
+_SMALL = st.integers(-2, 12)
+
+
+def _joined(strategy, size):
+    return st.lists(strategy, min_size=size, max_size=size).map(lambda xs: " ".join(map(str, xs)))
+
+
+@st.composite
+def _dt_codes(draw):
+    evens = draw(st.permutations(range(2, 2 * draw(st.integers(1, 6)) + 1, 2)))
+    return " ".join(str(draw(st.sampled_from([1, -1])) * e) for e in evens)
+
+
+@st.composite
+def _braids(draw):
+    strands = draw(st.integers(1, 4))
+    letters = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=10))
+    return " ".join(map(str, [f"strands={strands}", *letters]))
+
+
+_SHAPED = {
+    "torus": _joined(_SMALL, 2),
+    "twobridge": _joined(_SMALL, 2),
+    "dt": _dt_codes(),
+    "braid": _braids(),
+    "montesinos": st.builds(
+        "e={}; {}".format,
+        _SMALL,
+        st.lists(st.builds("{}/{}".format, _SMALL, _SMALL), max_size=3).map(" ".join),
+    ),
+    "pd": st.lists(_joined(_SMALL, 4), max_size=4).map(
+        lambda tuples: "[" + ",".join(f"({t.replace(' ', ',')})" for t in tuples) + "]"
+    ),
+}
+
+
+@st.composite
+def _corpus_texts(draw):
+    """A few corpus rows, mostly with a payload of their format's shape, and maybe a junk line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        fmt = draw(st.sampled_from([*sorted(_SHAPED), None])) or draw(_FIELD)
+        payload = draw(st.one_of(_SHAPED.get(fmt, _FIELD), _FIELD))
+        lines.append(f"{draw(_FIELD)}\t{fmt}\t{payload}")
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=40)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+_CORPUS_TEXT = st.one_of(_corpus_texts(), st.text())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CORPUS_TEXT)
+def test_corpus_parser_raises_nothing_but_a_parse_error(text):
+    try:
+        rows = analyzer.parse_corpus(text)
+    except ParseError:
+        return
+    assert all(len(row) == 3 for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CORPUS_TEXT, st.sampled_from(["json", "csv", "table"]))
+def test_corpus_run_on_an_arbitrary_file_exits_with_a_documented_code(text, fmt):
+    # cli.main turns every SphereCoverError into an exit code, so any other
+    # exception escapes and fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "fuzz.tsv")
+        with open(corpus, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        code, _, _ = run_cli(
+            ["corpus", "run", "--corpus", corpus, "--coset-cap", "500", "--format", fmt]
+        )
+    assert code in (0, 1, 2, 4)
+
+
+_KNOT_FLAGS = {fmt: "--" + fmt for fmt in _SHAPED} | {"twobridge": "--two-bridge"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_SHAPED)).flatmap(
+        lambda fmt: st.tuples(st.just(fmt), st.one_of(_SHAPED[fmt], _FIELD))
+    ),
+    st.sampled_from(["analyze", "gen"]),
+)
+def test_knot_commands_on_an_arbitrary_payload_exit_with_a_documented_code(row, command):
+    fmt, payload = row
+    args = payload.split() if fmt in ("torus", "twobridge") else [payload]
+    code, _, _ = run_cli(["knot", command, _KNOT_FLAGS[fmt], *args, "--coset-cap", "500"])
+    assert code in ((0, 1, 2) if command == "analyze" else (0, 1))

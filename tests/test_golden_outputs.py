@@ -13,6 +13,9 @@ geodesics by quadrature.  The ``knot gen`` files were recorded while the
 diagram check still walked the edge successors, found arcs by union-find
 and validated every crossing choice of a DT code, and while the assembler
 of generated diagrams still labelled their crossing slots in two passes.
+The T(2,31) file was recorded while the determinant was still a dense
+elimination of the 31-crossing matrix, before it was read off the Fox
+matrix of the Tietze-reduced presentation.
 One knot file, T(3,5) at coset cap 200, records an intended change: the
 enumeration over the cosets of one meridian completes below that cap,
 where the regular enumeration peaked above it and reported
@@ -72,6 +75,7 @@ def test_spaceform_output_is_byte_identical(argv, golden, code):
             "knot_analyze_torus_3_5.json",
             0,
         ),
+        (["knot", "analyze", "--torus", "2", "31", "--format", "json"], "knot_analyze_torus_2_31.json", 0),
         # completes below cap 200 only over the cosets of one meridian
         (
             ["knot", "analyze", "--torus", "3", "5", "--coset-cap", "200", "--format", "json"],
@@ -83,6 +87,7 @@ def test_spaceform_output_is_byte_identical(argv, golden, code):
         "corpus-run-json",
         "analyze-torus-3-5-json",
         "analyze-markov-torus-3-5-json",
+        "analyze-torus-2-31-json",
         "analyze-torus-3-5-cap-200-json",
     ],
 )

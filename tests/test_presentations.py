@@ -10,7 +10,7 @@ from spherecover import analyzer as an
 from spherecover import knots as kn
 from spherecover import presentations as pr
 from spherecover.config import packaged_corpus_text
-from spherecover.errors import InternalInconsistency, NotIndexTwo, ValidationError
+from spherecover.errors import InternalInconsistency, NotAKnot, NotIndexTwo, ValidationError
 from spherecover.linalg import AbelianGroup, cokernel
 
 import bridge_oracle
@@ -161,6 +161,11 @@ def test_reduction_stops_at_the_relator_length_bound(monkeypatch):
     assert 3 < capped.ngens < wirt.ngens
     assert max(len(r) for r in capped.relators) <= 6
     assert str(abelianize(capped)) == "Z"
+    # the Fox determinant needs no finished reduction
+    for p, q, det in [(3, 7, 1), (3, 8, 3), (4, 5, 5)]:
+        diagram = kn.braid_to_diagram(kn.torus_knot(p, q))
+        capped = pr.bridge_presentation(pr.wirtinger(diagram))
+        assert pr.meridian_determinant(capped) == kn.determinant(diagram) == det
 
 
 def test_reduction_guard_rejects_a_lost_generator(monkeypatch):
@@ -246,6 +251,82 @@ def knot_braids(draw):
 @given(knot_braids())
 def test_reduction_matches_the_oracle_on_random_braids(braid):
     assert_matches_the_bridge_oracle(kn.braid_to_diagram(braid))
+
+
+# -- the determinant from the Fox matrix of the reduced presentation ----------------
+
+
+def assert_fox_determinant_matches_the_crossing_matrix(diagram):
+    bridge = pr.bridge_presentation(pr.wirtinger(diagram))
+    assert pr.meridian_determinant(bridge) == kn.determinant(diagram), diagram.name
+
+
+def test_fox_determinant_matches_the_crossing_matrix_on_the_corpus():
+    for name, fmt, payload in an.parse_corpus(packaged_corpus_text()):
+        assert_fox_determinant_matches_the_crossing_matrix(
+            an.diagram_from_payload(fmt, payload, name=name)
+        )
+
+
+def test_fox_determinant_matches_the_crossing_matrix_on_two_bridge_knots():
+    for p in range(1, 60, 2):
+        for q in range(1, max(p, 2)):
+            if math.gcd(p, q) == 1:
+                assert_fox_determinant_matches_the_crossing_matrix(kn.two_bridge(p, q))
+
+
+def test_fox_determinant_matches_the_crossing_matrix_on_torus_knots():
+    for p in range(2, 12):
+        for q in range(2, 12):
+            if math.gcd(p, q) == 1:
+                assert_fox_determinant_matches_the_crossing_matrix(
+                    kn.braid_to_diagram(kn.torus_knot(p, q))
+                )
+
+
+def test_fox_determinant_matches_the_crossing_matrix_on_montesinos_sums():
+    tangles = [(1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (1, 7), (3, 7), (2, 9)]
+    knots_seen = 0
+    for e in (-2, -1, 0, 1):
+        for size in (2, 3, 4):
+            for fractions in itertools.combinations(tangles, size):
+                try:
+                    diagram = kn.montesinos(e, list(fractions))
+                except NotAKnot:
+                    continue
+                assert_fox_determinant_matches_the_crossing_matrix(diagram)
+                knots_seen += 1
+    assert knots_seen > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(knot_braids())
+def test_fox_determinant_matches_the_crossing_matrix_on_random_braids(braid):
+    assert_fox_determinant_matches_the_crossing_matrix(kn.braid_to_diagram(braid))
+
+
+@pytest.mark.parametrize("text", ["[]", "strands=2 -1", "strands=2 1"])
+def test_fox_determinant_of_the_zero_and_one_crossing_unknots(text):
+    if text == "[]":
+        diagram = kn.parse_pd(text)
+    else:
+        diagram = kn.braid_to_diagram(kn.parse_braid(text))
+    bridge = pr.bridge_presentation(pr.wirtinger(diagram))
+    assert (bridge.ngens, bridge.relators) == (1, ())
+    assert pr.meridian_determinant(bridge) == kn.determinant(diagram) == 1
+
+
+def test_fox_determinant_needs_deficiency_one():
+    trefoil = pr.bridge_presentation(pr.wirtinger(kn.parse_pd(TREFOIL_PD)))
+    assert pr.meridian_determinant(trefoil) == 3
+    for pres in (
+        pr.GroupPresentation.make(trefoil.ngens, trefoil.relators * 2),
+        pr.GroupPresentation.make(trefoil.ngens, ()),
+        pr.GroupPresentation.make(0, ()),
+        pr.orbifold_quotient(trefoil),
+    ):
+        with pytest.raises(InternalInconsistency, match="deficiency one"):
+            pr.meridian_determinant(pres)
 
 
 # -- Todd-Coxeter ---------------------------------------------------------------
