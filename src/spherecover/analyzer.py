@@ -210,16 +210,15 @@ def _integers(text, count):
 
 
 def parse_corpus(text):
-    """One knot per line: name<TAB>format<TAB>payload; blank/# lines skipped."""
+    """One knot per line: name<TAB>format<TAB>payload, any field empty; blank/# lines skipped."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"corpus line {lineno} needs 3 tab-separated fields", lineno)
-        rows.append(tuple(parts))
+        rows.append((parts[0].lstrip(), parts[1], parts[2].rstrip()))
     return rows
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotAKnot, ParseError, SpecViolation, ValidationError
-from .linalg import AbelianGroup, cokernel, integer_determinant
+from .linalg import cokernel, integer_determinant
 
 
 @dataclass(frozen=True)
@@ -624,46 +624,14 @@ def face_count(tuples):
 # -- determinant and branched-cover homology -------------------------------------
 
 
-def _crossing_arc_matrix(diagram):
-    """Rows: 2*(over arc) - (under-in arc) - (under-out arc), one per crossing."""
-    rows = []
-    arcs = diagram.arc_of_edge
-    for cr in diagram.crossings:
-        row = [0] * diagram.arc_count
-        row[arcs[cr.over_edges[0]]] += 2
-        row[arcs[cr.under_in]] -= 1
-        row[arcs[cr.under_out]] -= 1
-        rows.append(row)
-    return rows
+def _deleted_crossing_rows(diagram):
+    """The crossing rows at -1 without the last row and last arc column, sparse.
 
-
-def determinant(diagram):
-    """|H_1| of the double branched cover: |det| of the deleted incidence matrix.
-
-    The diagram-level route, a dense Bareiss elimination in O(n^3).  The
-    pipeline reads the determinant off the reduced presentation instead
-    (``presentations.meridian_determinant``); the tests use this as its
-    oracle.
+    Crossing i gives 2*(over arc) - (under-in arc) - (under-out arc).  There
+    are as many rows as columns: n - 1 for n crossings, none for n = 0.
     """
-    n = diagram.crossing_count
-    if n == 0:
-        return 1
-    rows = _crossing_arc_matrix(diagram)
-    deleted = [row[: n - 1] for row in rows[: n - 1]]
-    return abs(integer_determinant(deleted))
-
-
-def h1_double_cover(diagram):
-    """Full homology of the double branched cover via Smith normal form.
-
-    The deleted crossing rows are built sparse, straight from the crossings:
-    the last row and the last arc column are left out.
-    """
-    n = diagram.crossing_count
-    if n == 0:
-        return AbelianGroup()
     arcs = diagram.arc_of_edge
-    last = n - 1
+    last = diagram.crossing_count - 1
     rows = []
     for cr in diagram.crossings[:last]:
         row = {}
@@ -672,4 +640,20 @@ def h1_double_cover(diagram):
             if a < last:
                 row[a] = row.get(a, 0) + v
         rows.append(row)
-    return cokernel(rows, last)
+    return rows
+
+
+def determinant(diagram):
+    """|H_1| of the double branched cover: |det| of the deleted crossing rows.
+
+    The tests' diagram-level oracle for ``presentations.meridian_determinant``,
+    which the pipeline calls instead.
+    """
+    rows = _deleted_crossing_rows(diagram)
+    return abs(integer_determinant(rows, len(rows)))
+
+
+def h1_double_cover(diagram):
+    """Full homology of the double branched cover via Smith normal form."""
+    rows = _deleted_crossing_rows(diagram)
+    return cokernel(rows, len(rows))

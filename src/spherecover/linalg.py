@@ -1,8 +1,8 @@
 """Exact integer linear algebra: abelian invariants, determinants, Smith form.
 
-Determinants use Bareiss fraction-free elimination on dense rows.  Smith
-normal form eliminates on sparse rows (``{column: nonzero int}``): ±1
-pivots first, each of least fill, then Euclid steps and a corner
+Both take sparse rows ``{column: int}`` over ``range(ncols)``.  Determinants
+use Bareiss fraction-free elimination that skips zeros.  Smith normal form
+takes ±1 pivots first, each of least fill, then Euclid steps and a corner
 divisibility step on the rest, on big integers, so there is no overflow to
 guard.  The two share no code, so a determinant checks a Smith form.
 """
@@ -60,29 +60,43 @@ class AbelianGroup:
 # -- integer matrices ----------------------------------------------------------
 
 
-def integer_determinant(rows):
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidArgument(f"determinant of a non-square matrix with {n} rows")
-    if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+def integer_determinant(rows, ncols):
+    """Bareiss fraction-free determinant of ``ncols`` sparse rows; 0 x 0 gives 1.
+
+    Step k pivots on the sparsest live row that holds column k, the sign
+    following its position among the live rows, and combines only the rows
+    holding k with it; every other row is rescaled by pivot / previous
+    pivot, which Bareiss keeps exact.
+    """
+    if len(rows) != ncols:
+        raise InvalidArgument(f"determinant of {len(rows)} rows over range({ncols})")
+    columns = range(ncols)
+    stray = [j for row in rows for j in row if j not in columns]
+    if stray:
+        raise InvalidArgument(f"column {stray[0]!r} is outside range({ncols})")
+    live = [{j: int(v) for j, v in row.items() if v} for row in rows]
+    sign = prev = 1
+    for k in columns:
+        holders = [i for i, row in enumerate(live) if k in row]
+        if not holders:
+            return 0
+        p = min(holders, key=lambda i: len(live[i]))
+        if p & 1:
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+        pivot_row = live.pop(p)
+        pivot = pivot_row.pop(k)
+        for i, row in enumerate(live):
+            a = row.pop(k, 0)
+            if not a:
+                for j, v in row.items():
+                    row[j] = v * pivot // prev
+                continue
+            merged = {j: v * pivot for j, v in row.items()}
+            for j, v in pivot_row.items():
+                merged[j] = merged.get(j, 0) - a * v
+            live[i] = {j: v // prev for j, v in merged.items() if v}
+        prev = pivot
+    return sign * prev
 
 
 def _subtract(mat, cols, k, i, q):

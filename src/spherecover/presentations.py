@@ -238,19 +238,21 @@ def meridian_determinant(pres):
     the last leaves a square matrix whose determinant is ±Δ(-1) (Crowell and
     Fox, *Introduction to Knot Theory*, 1963).
     """
-    k = pres.ngens
-    if len(pres.relators) != k - 1:
+    last = pres.ngens - 1
+    if len(pres.relators) != last:
         raise InternalInconsistency(
-            f"{len(pres.relators)} relators on {k} meridians; a knot group "
-            f"presentation of deficiency one has {k - 1}"
+            f"{len(pres.relators)} relators on {pres.ngens} meridians; a knot group "
+            f"presentation of deficiency one has {last}"
         )
     rows = []
     for rel in pres.relators:
-        row = [0] * k
+        row = {}
         for p, letter in enumerate(rel):
-            row[abs(letter) - 1] += -1 if p & 1 else 1
-        rows.append(row[:-1])
-    return abs(integer_determinant(rows))
+            j = abs(letter) - 1
+            if j < last:
+                row[j] = row.get(j, 0) + (-1 if p & 1 else 1)
+        rows.append(row)
+    return abs(integer_determinant(rows, last))
 
 
 def orbifold_quotient(pres):

@@ -1,19 +1,46 @@
-"""Reference Smith normal form: the dense gcd-pivoting routine, kept as an oracle.
+"""Reference Smith form and determinant: the dense routines, kept as oracles.
 
 ``smith_normal_form`` is the dense routine the library used before its
 sparse elimination, unchanged.  Invariant factors are unique, so the two
-must agree on every matrix.  ``dense_abelianization`` and ``dense_h1`` are
-the dense-row paths that ``FiniteGroup.abelianization`` and
-``knots.h1_double_cover`` replaced, taken through this oracle.
+must agree on every matrix.  ``integer_determinant`` is the dense Bareiss
+elimination the library used before it took sparse rows, unchanged.
+``dense_abelianization`` and ``dense_h1`` are the dense-row paths that
+``FiniteGroup.abelianization`` and ``knots.h1_double_cover`` replaced,
+taken through this oracle.
 """
 
-from spherecover.errors import InternalInconsistency
+from spherecover.errors import InternalInconsistency, InvalidArgument
 from spherecover.linalg import AbelianGroup
 
 
 def sparse_rows(rows):
     """Dense integer rows as the ``{column: int}`` rows the library takes, zeros kept."""
     return [dict(enumerate(row)) for row in rows]
+
+
+def integer_determinant(rows):
+    """Bareiss fraction-free determinant of a square integer matrix."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InvalidArgument(f"determinant of a non-square matrix with {n} rows")
+    if n == 0:
+        return 1
+    a = [list(map(int, r)) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def smith_normal_form(rows, ncols=None):

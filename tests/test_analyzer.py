@@ -113,6 +113,17 @@ def test_corpus_parsing_and_payload_dispatch():
         an.parse_corpus("only two\tfields")
 
 
+def test_corpus_fields_may_be_empty():
+    text = "\tbraid\tstrands=2 1 1 1\nx\tbraid\t\n  y\tpd\t[(1,2,3)]  \n  # note\n"
+    assert an.parse_corpus(text) == [
+        ("", "braid", "strands=2 1 1 1"),
+        ("x", "braid", ""),
+        ("y", "pd", "[(1,2,3)]"),
+    ]
+    with pytest.raises(ParseError):
+        an.parse_corpus("x\tbraid\tstrands=2 1 1 1\t")
+
+
 def test_run_corpus_finite_rows():
     rows = [
         r

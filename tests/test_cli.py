@@ -238,6 +238,19 @@ def test_corpus_malformed_integer_rows_are_row_errors(tmp_path):
     assert "row_errors: 4" in out
 
 
+def test_corpus_rows_with_an_empty_field_still_have_three_fields(tmp_path):
+    corpus = tmp_path / "empty.tsv"
+    corpus.write_text("\tbraid\tstrands=2 1 1 1\nx\tbraid\t\nok\tpd\t" + TREFOIL_PD + "\n")
+    code, out, _ = run_cli(["corpus", "run", "--corpus", str(corpus), "--format", "json"])
+    assert code == 4
+    recs = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    assert len(recs) == 3
+    errors = {rec["name"]: rec["error"] for rec in recs if "error" in rec}
+    assert list(errors) == ["x"] and errors["x"].startswith("ParseError")
+    assert sorted(rec["det"] for rec in recs if "error" not in rec) == [3, 3]
+    assert "row_errors: 1" in out
+
+
 def test_crossing_limit_rows_fail_fast(tmp_path):
     corpus = tmp_path / "big.tsv"
     corpus.write_text(
@@ -757,3 +770,67 @@ def test_knot_commands_on_an_arbitrary_payload_exit_with_a_documented_code(row, 
     args = payload.split() if fmt in ("torus", "twobridge") else [payload]
     code, _, _ = run_cli(["knot", command, _KNOT_FLAGS[fmt], *args, "--coset-cap", "500"])
     assert code in ((0, 1, 2) if command == "analyze" else (0, 1))
+
+
+# -- fuzzing the space-form and orbit argument lists -------------------------------
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_TOKEN = st.one_of(_ints(-3, 40), _FIELD)
+_COMMON = {"--format": st.sampled_from(["table", "json", "csv"]), "--seed": _ints(-1, 5)}
+
+
+@st.composite
+def _argument_lists(draw, positionals, options):
+    """Positionals of their shape, options in any order, a few values junk, maybe a stray token."""
+
+    def value(shape):
+        return draw(_TOKEN if draw(st.integers(0, 7)) == 0 else shape)
+
+    args = [value(shape) for shape in positionals]
+    chosen = [item for item in {**options, **_COMMON}.items() if draw(st.booleans())]
+    for flag, shape in draw(st.permutations(chosen)):
+        args += [flag, value(shape)]
+    if draw(st.integers(0, 7)) == 0:
+        args.insert(draw(st.integers(0, len(args))), draw(_TOKEN))
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _argument_lists(
+        [st.sampled_from(["cyclic", "tetrahedral", "icosahedral"])],
+        {"--m": _ints(-1, 13), "--p": _ints(-5, 13), "--k": _ints(-1, 4)},
+    ),
+    st.integers(-2, 2) | st.integers(100, 600),
+)
+def test_spaceform_verify_on_an_arbitrary_argument_list_exits_with_a_documented_code(args, cap):
+    # a small group cap, given last so that it holds, keeps each example fast
+    code, _, _ = run_cli(["spaceform", "verify", *args, "--group-cap", str(cap)])
+    assert code in (0, 1, 3)
+
+
+_WEIGHT = _ints(-1, 12)
+_ORBIT_ARGUMENTS = {
+    "profile": ([_WEIGHT, _WEIGHT], {"--points": _ints(-2, 60)}),
+    "compare": ([st.just("--chain"), _WEIGHT, _WEIGHT], {}),
+    "validate": ([_WEIGHT, _WEIGHT], {}),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_ORBIT_ARGUMENTS)).flatmap(
+        lambda command: st.tuples(st.just(command), _argument_lists(*_ORBIT_ARGUMENTS[command]))
+    ),
+    st.integers(-2, 3),
+)
+def test_orbit_commands_on_an_arbitrary_argument_list_exit_with_a_documented_code(case, samples):
+    command, args = case
+    # validate takes 100 oracle samples by default; a few, given last, keep it fast
+    bound = ["--samples", str(samples)] if command == "validate" else []
+    code, _, _ = run_cli(["orbit", command, *args, *bound])
+    assert code in (0, 1, 3)

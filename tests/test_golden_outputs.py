@@ -15,7 +15,9 @@ and validated every crossing choice of a DT code, and while the assembler
 of generated diagrams still labelled their crossing slots in two passes.
 The T(2,31) file was recorded while the determinant was still a dense
 elimination of the 31-crossing matrix, before it was read off the Fox
-matrix of the Tietze-reduced presentation.
+matrix of the Tietze-reduced presentation.  The T(2,999) file at coset
+cap 100 was recorded while that Fox matrix, 936 x 936, was still
+eliminated on dense rows.
 One knot file, T(3,5) at coset cap 200, records an intended change: the
 enumeration over the cosets of one meridian completes below that cap,
 where the regular enumeration peaked above it and reported
@@ -82,6 +84,12 @@ def test_spaceform_output_is_byte_identical(argv, golden, code):
             "knot_analyze_torus_3_5_cap_200.json",
             0,
         ),
+        # 999 crossings, 937 generators left by the Tietze pass
+        (
+            ["knot", "analyze", "--torus", "2", "999", "--coset-cap", "100", "--format", "json"],
+            "knot_analyze_torus_2_999_cap_100.json",
+            0,
+        ),
     ],
     ids=[
         "corpus-run-json",
@@ -89,6 +97,7 @@ def test_spaceform_output_is_byte_identical(argv, golden, code):
         "analyze-markov-torus-3-5-json",
         "analyze-torus-2-31-json",
         "analyze-torus-3-5-cap-200-json",
+        "analyze-torus-2-999-cap-100-json",
     ],
 )
 def test_knot_output_is_byte_identical(argv, golden, code):

@@ -57,7 +57,7 @@ def alexander_at(diagram, t):
             row[arcs[cr.under_out]] -= t
         rows.append(row)
     deleted = [row[: n - 1] for row in rows[: n - 1]]
-    return abs(integer_determinant(deleted))
+    return abs(integer_determinant(snf_oracle.sparse_rows(deleted), len(deleted)))
 
 
 def threefree(x):
@@ -665,7 +665,7 @@ def goeritz_determinant(diagram):
     for u in range(size):
         g[u][u] = -sum(g[u][v] for v in range(size) if v != u)
     deleted = [row[: size - 1] for row in g[: size - 1]]
-    return abs(integer_determinant(deleted))
+    return abs(integer_determinant(snf_oracle.sparse_rows(deleted), len(deleted)))
 
 
 @pytest.mark.parametrize(

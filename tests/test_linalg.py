@@ -68,7 +68,7 @@ def _determinantal_divisor_oracle(m):
         for ris in combinations(range(rows), k):
             for cis in combinations(range(cols), k):
                 sub = [[m[i][j] for j in cis] for i in ris]
-                g = math.gcd(g, abs(la.integer_determinant(sub)))
+                g = math.gcd(g, abs(snf_oracle.integer_determinant(sub)))
         if g == 0:
             break
         out.append(g // prev)
@@ -133,21 +133,35 @@ def test_abelian_group_validation():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: la.integer_determinant([[1, 2, 3], [4, 5, 6]]),
-        lambda: la.integer_determinant([[1, 2], [3, 4], [5, 6]]),
+        lambda: la.integer_determinant(snf_oracle.sparse_rows([[1, 2, 3], [4, 5, 6]]), 3),
+        lambda: la.integer_determinant(snf_oracle.sparse_rows([[1, 2], [3, 4], [5, 6]]), 2),
+        lambda: la.integer_determinant([{0: 1}, {2: 1}], 2),
         lambda: la.cokernel(snf_oracle.sparse_rows([[2, 0, 0]]), 2),
         lambda: la.smith_normal_form(snf_oracle.sparse_rows([[1, 2], [3, 4, 5]]), 2),
     ],
-    ids=["determinant-2x3", "determinant-3x2", "cokernel-extra-column", "smith-ragged-rows"],
+    ids=[
+        "determinant-2x3",
+        "determinant-3x2",
+        "determinant-column-outside",
+        "cokernel-extra-column",
+        "smith-ragged-rows",
+    ],
 )
 def test_bad_arguments_are_invalid_arguments(call):
     with pytest.raises(InvalidArgument):
         call()
 
 
+def determinant(m):
+    """The library's determinant of dense square rows, through the one conversion helper."""
+    return la.integer_determinant(snf_oracle.sparse_rows(m), len(m))
+
+
 def test_integer_determinant():
-    assert la.integer_determinant([[2, 4], [6, 8]]) == -8
-    assert la.integer_determinant([]) == 1
+    assert determinant([[2, 4], [6, 8]]) == -8
+    assert determinant([]) == 1
+    assert la.integer_determinant([{}, {1: 3}], 2) == 0
+    assert la.integer_determinant([{1: 2}, {0: 3}], 2) == -6
     rng = random.Random(3)
     for _ in range(30):
         m = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
@@ -155,7 +169,40 @@ def test_integer_determinant():
         d, e, f = m[1]
         g, h, i = m[2]
         rule = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        assert la.integer_determinant(m) == rule
+        assert determinant(m) == rule
+
+
+@st.composite
+def square_matrices(draw):
+    """Sparse or dense square matrices, often singular: zero and repeated rows and columns."""
+    n = draw(st.integers(0, 7))
+    density = draw(st.sampled_from([0.15, 0.4, 1.0]))
+    entry = st.integers(-60, 60) | st.sampled_from([-2, -1, 1, 2])
+    m = [[draw(entry) if draw(st.floats(0, 1)) < density else 0 for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[i] = list(m[j])
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        for row in m:
+            row[i] = row[j]
+    if n and draw(st.booleans()):
+        m[draw(st.integers(0, n - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_sparse_determinant_equals_the_dense_oracle(m):
+    n = len(m)
+    dense = snf_oracle.integer_determinant(m)
+    assert determinant(m) == dense
+    # the same rows with their zeros left out
+    assert la.integer_determinant([{j: v for j, v in enumerate(row) if v} for row in m], n) == dense
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,16 @@ def test_reduction_stops_at_the_relator_length_bound(monkeypatch):
         assert pr.meridian_determinant(capped) == kn.determinant(diagram) == det
 
 
+@pytest.mark.parametrize("n", [65, 101, 201])
+def test_fox_determinant_of_long_torus_knots(n):
+    # T(2, n) for n >= 65 stops at the relator length bound with n - 62
+    # generators, so its Fox matrix is far larger than the benchmark rows'
+    diagram = kn.braid_to_diagram(kn.torus_knot(2, n))
+    bridge = pr.bridge_presentation(pr.wirtinger(diagram))
+    assert bridge.ngens == n - 62
+    assert pr.meridian_determinant(bridge) == kn.determinant(diagram) == n
+
+
 def test_reduction_guard_rejects_a_lost_generator(monkeypatch):
     monkeypatch.setattr(pr, "_substitute", lambda rel, c, value, inverse: rel + (c, c))
     with pytest.raises(InternalInconsistency, match="survivors"):
