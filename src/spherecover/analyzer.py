@@ -7,10 +7,10 @@ incidence matrix; the homology order must be the determinant, which ties
 the reduced presentation to the diagram on every row.  It then enumerates
 the meridian-squared quotient of that presentation over the cosets of one
 meridian and reads the cover group off the table: the parity kernel acts
-on those cosets simply transitively.  A finite cover's abelianization
-must be the homology, the cover order must never be 2, and order 1 must
-coincide with determinant 1 -- the report carries these consistency bits
-rather than assuming them.
+on those cosets simply transitively.  The determinant must be odd and a
+finite cover's abelianization must be the homology.  Each check raises
+InternalInconsistency when it fails, so every report is consistent: its
+cover order is never 2, and order 1 comes only with determinant 1.
 
 Finite cover groups fall into exactly three families: cyclic (abelian
 case -- a non-cyclic abelian cover would be a contradiction and raises),
@@ -35,7 +35,7 @@ TETRAHEDRAL = "tetrahedral"
 ICOSAHEDRAL = "icosahedral"
 INFINITE_OR_UNKNOWN = "infinite_or_unknown"
 
-REPORT_SCHEMA = "cover-report/1"
+REPORT_SCHEMA = "cover-report/2"
 
 
 @dataclass
@@ -47,7 +47,6 @@ class CoverReport:
     cover_order: int | None = None
     classification: str | None = None
     cyclic_order: int | None = None
-    trichotomy_consistent: bool | None = None
     ms: float | None = None
     error: str | None = None
 
@@ -65,7 +64,6 @@ class CoverReport:
             "orbifold_order": self.orbifold_order,
             "cover_order": self.cover_order,
             "classification": self.classification_label(),
-            "trichotomy_consistent": self.trichotomy_consistent,
         }
         if show_timing:
             rec["ms"] = None if self.ms is None else round(self.ms, 3)
@@ -147,12 +145,8 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
             label, cyc = classify_finite(cover, cover_ab)
             report.classification = label
             report.cyclic_order = cyc
-        report.trichotomy_consistent = cover_order != 2 and (
-            cover_order != 1 or det == 1
-        )
     else:
         report.classification = INFINITE_OR_UNKNOWN
-        report.trichotomy_consistent = True
     report.ms = (time.perf_counter() - t0) * 1000.0
     return report
 
@@ -220,20 +214,6 @@ def parse_corpus(text):
             raise ParseError(f"corpus line {lineno} needs 3 tab-separated fields", lineno)
         rows.append((parts[0].lstrip(), parts[1], parts[2].rstrip()))
     return rows
-
-
-def count_violations(records):
-    """Trichotomy violations over report records, one per rule a record breaks.
-
-    The rules: a record marked inconsistent, an even determinant, and a
-    cover of order 2.
-    """
-    return sum(
-        (rec.get("trichotomy_consistent") is False)
-        + (rec.get("det") is not None and rec["det"] % 2 == 0)
-        + (rec.get("cover_order") == 2)
-        for rec in records
-    )
 
 
 @dataclass

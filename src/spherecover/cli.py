@@ -10,15 +10,16 @@ Commands:
   orbit validate   oracle gate for the closed-form profile
   corpus run       every corpus row, with optional result cache
 
-Exit codes: 0 success; 1 bad input/parameters; 2 trichotomy violation
-(knot/corpus); 3 failed space-form check or oracle mismatch; 4 corpus row
-errors; 5 internal inconsistency (two computation routes disagree: a bug,
-not bad input).  Reports are deterministic; timings appear only with --timings.
+Exit codes: 0 success; 1 bad input/parameters, usage errors included; 3
+failed space-form check or oracle mismatch; 4 corpus row errors; 5 internal
+inconsistency (two computation routes disagree: a bug, not bad input).  Code
+2 is not used.  Reports are deterministic; timings appear only with --timings.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -36,7 +37,6 @@ from .errors import (
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_TRICHOTOMY = 2
 EXIT_CHECK_FAILED = 3
 EXIT_ROW_ERRORS = 4
 EXIT_INTERNAL = 5
@@ -95,7 +95,7 @@ def cmd_knot_analyze(args, config, out):
     diagram = _knot_diagram_from_args(args)
     report = analyzer.analyze(diagram, coset_cap=config.coset_cap)
     _emit_records([report.to_record(config.show_timing)], config.output_format, out)
-    return EXIT_OK if report.trichotomy_consistent else EXIT_TRICHOTOMY
+    return EXIT_OK
 
 
 def cmd_knot_gen(args, config, out):
@@ -203,7 +203,6 @@ _ENTRY_TYPES = {
     "orbifold_order": int,
     "cover_order": int,
     "classification": str,
-    "trichotomy_consistent": bool,
 }
 
 
@@ -275,15 +274,9 @@ def cmd_corpus_run(args, config, out):
                 raise InputFileError(f"cannot write cache entry {cache.path(key)}: {exc}") from exc
     records.sort(key=lambda r: r["name"])
     _emit_records(records, config.output_format, out)
-    violations = analyzer.count_violations(records)
     errors = sum("error" in rec for rec in records)
-    out.write(f"violations: {violations}\n")
     out.write(f"row_errors: {errors}\n")
-    if errors:
-        return EXIT_ROW_ERRORS
-    if violations:
-        return EXIT_TRICHOTOMY
-    return EXIT_OK
+    return EXIT_ROW_ERRORS if errors else EXIT_OK
 
 
 def _common_options():
@@ -363,10 +356,10 @@ def main(argv=None, out=None, err=None):
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits with 2 on usage errors; that slot means a trichotomy
-        # violation here, so remap usage problems to the input-error code
+        # argparse exits with 2 on a usage error, which is bad input here
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     # absent options are suppressed, so every config field left in the
     # namespace was given on the command line

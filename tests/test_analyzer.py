@@ -1,10 +1,14 @@
+import io
+
 import pytest
 
 from spherecover import analyzer as an
+from spherecover import cli
 from spherecover import knots as kn
 from spherecover import presentations as pr
 from spherecover.config import packaged_corpus_text
 from spherecover.errors import InternalInconsistency, ParseError, UnclassifiedFiniteGroup
+from spherecover.groups import FiniteGroup
 from spherecover.linalg import AbelianGroup
 
 from cover_oracle import regular_group
@@ -17,7 +21,6 @@ def test_analyze_trefoil():
     assert r.determinant == 3
     assert r.cover_order == 3
     assert r.classification == an.CYCLIC and r.cyclic_order == 3
-    assert r.trichotomy_consistent
 
 
 def test_analyze_torus_3_5_icosahedral():
@@ -40,14 +43,46 @@ def test_analyze_unknot():
     r = an.analyze(kn.parse_pd("[]", name="unknot"))
     assert r.cover_order == 1
     assert r.classification == an.UNKNOT
-    assert r.trichotomy_consistent
 
 
 def test_analyze_inconclusive():
     r = an.analyze(kn.braid_to_diagram(kn.torus_knot(3, 7), name="t37"), coset_cap=2000)
     assert r.classification == an.INFINITE_OR_UNKNOWN
     assert r.cover_order is None
-    assert r.trichotomy_consistent  # vacuously
+
+
+def _even_determinant(monkeypatch):
+    # an H1 of that order too, so only the parity rule is broken
+    monkeypatch.setattr(pr, "meridian_determinant", lambda pres: 4)
+    monkeypatch.setattr(kn, "h1_double_cover", lambda diagram: AbelianGroup((4,)))
+
+
+def _cover_of_order(order):
+    def corrupt(monkeypatch):
+        cover = FiniteGroup.map_closure([[1, 0]] if order == 2 else [], order)
+        monkeypatch.setattr(pr, "branched_cover_group", lambda outcome: (order, cover))
+
+    return corrupt
+
+
+BROKEN_COVER_RULES = {
+    "even-determinant": (_even_determinant, "even determinant 4"),
+    "cover-of-order-2": (_cover_of_order(2), "has order 2, determinant says 3"),
+    "trivial-cover-with-det-3": (_cover_of_order(1), "has order 1, determinant says 3"),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", BROKEN_COVER_RULES.values(), ids=BROKEN_COVER_RULES.keys())
+def test_a_broken_cover_rule_raises_before_any_report(monkeypatch, corrupt, message):
+    # an even determinant, a cover of order 2 and a trivial cover of a knot
+    # with det != 1 each stop analyze: no report can break these rules
+    corrupt(monkeypatch)
+    with pytest.raises(InternalInconsistency, match=message):
+        an.analyze(kn.parse_pd(TREFOIL_PD, name="trefoil"))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["knot", "analyze", "--pd", TREFOIL_PD], out, err) == 5
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("InternalInconsistency: pd: ") and message in err.getvalue()
 
 
 def test_two_bridge_family_classifies_cyclic():
@@ -131,7 +166,6 @@ def test_run_corpus_finite_rows():
         if r[0] not in ("torus_3_7", "pretzel_3_5_7")
     ]
     summary = an.run_corpus(rows, coset_cap=200_000)
-    assert an.count_violations(r.to_record() for r in summary.reports) == 0
     assert summary.row_errors == 0
     by_name = {r.name: r for r in summary.reports}
     assert by_name["trefoil"].classification == an.CYCLIC
@@ -163,7 +197,6 @@ def test_report_record_key_order():
         "orbifold_order",
         "cover_order",
         "classification",
-        "trichotomy_consistent",
     ]
     rec_t = r.to_record(show_timing=True)
     assert "ms" in rec_t
@@ -172,7 +205,6 @@ def test_report_record_key_order():
 def test_empty_corpus():
     summary = an.run_corpus([])
     assert summary.reports == [] and summary.row_errors == 0
-    assert an.count_violations(r.to_record() for r in summary.reports) == 0
 
 
 def test_montesinos_with_finite_cover():
