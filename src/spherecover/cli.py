@@ -153,6 +153,12 @@ def cmd_orbit_profile(args, config, out):
     n = args.points
     if n < 1:
         raise SpecViolation("--points must be >= 1")
+    # the profile takes k*k and the sample grid takes n as floats
+    for value, what in ((args.k * args.k, "weight k"), (n, "--points")):
+        try:
+            float(value)
+        except OverflowError:
+            raise SpecViolation(f"{what} is too large for floating point") from None
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["t", f"f_{args.k}_{args.l}"])
     for i in range(n + 1):

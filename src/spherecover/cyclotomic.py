@@ -39,37 +39,33 @@ def _interval_context():
     return MPIntervalContext()
 
 
-def _proper_divisors(n):
-    return [d for d in range(1, n) if n % d == 0]
-
-
-def _polydiv_exact(num, den):
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        q, r = divmod(num[i], lead)
-        if r:
-            raise InternalInconsistency("non-exact polynomial division")
-        out[i - dn] = q
-        if q:
-            for j, c in enumerate(den):
-                num[i - dn + j] -= q * c
-    if any(num):
-        raise InternalInconsistency("nonzero remainder in cyclotomic division")
-    return out
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _proper_divisors(n):
-        poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
+
+    Phi_n(x) = prod (x^(n/q) - 1)^mu(q) over the squarefree divisors q of n:
+    the binomials with mu(q) = +1 multiply, then each other one divides exactly.
+    """
+    terms, rest, p = [(n, 1)], n, 2  # (n/q, mu(q)) for the squarefree q found so far
+    while rest > 1:
+        p = p if p * p <= rest else rest  # no factor up to its square root: rest is prime
+        if rest % p == 0:
+            terms += [(e // p, -mu) for e, mu in terms]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = [1]
+    for e, mu in terms:
+        if mu > 0:  # times x^e - 1
+            poly = [-c for c in poly] + [0] * e
+            for i in range(len(poly) - 1, e - 1, -1):
+                poly[i] -= poly[i - e]
+    for e, mu in terms:
+        if mu < 0:  # x^i = x^(i-e) (x^e - 1) + x^(i-e), top term first
+            for i in range(len(poly) - 1, e - 1, -1):
+                poly[i - e] += poly[i]
+            if any(poly[:e]):
+                raise InternalInconsistency(f"x^{e} - 1 leaves a remainder in Phi_{n}")
+            poly = poly[e:]
     return tuple(poly)
 
 

@@ -167,13 +167,15 @@ def _build_generators(spec):
     return gens, iota_hat
 
 
-def _spin_order_bound(spec):
+def _spin_order_bound(spec, cap=None):
     """A lower bound on |Pi^|, for the generators ``_build_generators`` makes.
 
     With z of order 2m and zeta of order 3^k: the cyclic generator
     (z^(1+p), z^(p-1)) has order 2m / gcd(2m, p+1, p-1); the tetrahedral
     group maps onto 2T (order 24) with kernel containing {1} x <z, zeta^6>,
-    of order lcm(2m, 3^(k-1)); the icosahedral group is 2I x <z>.
+    of order lcm(2m, 3^(k-1)); the icosahedral group is 2I x <z>.  Given a
+    ``cap`` that 2^(k-1) already passes, the tetrahedral bound is returned
+    as ``cap + 1`` without forming 3^(k-1).
     """
     m = spec.m
     if m < 1:
@@ -181,6 +183,8 @@ def _spin_order_bound(spec):
     if spec.family == CYCLIC:
         return 2 * m // math.gcd(2 * m, spec.p + 1, spec.p - 1)
     if spec.family == TETRAHEDRAL:
+        if cap is not None and spec.k - 1 > cap.bit_length():
+            return cap + 1
         return 24 * math.lcm(2 * m, 3 ** max(spec.k - 1, 0))
     return 240 * m
 
@@ -193,7 +197,7 @@ def build(spec, cap=DEFAULT_GROUP_CAP, allow_invalid=False):
     """
     if not allow_invalid:
         spec.validate()
-    if 1 <= cap < _spin_order_bound(spec):
+    if 1 <= cap < _spin_order_bound(spec, cap):
         raise CapExceeded(cap)
     gens, iota_hat = _build_generators(spec)
     conductor = math.lcm(iota_hat.conductor(), *(g.conductor() for g in gens))

@@ -24,6 +24,7 @@ from spherecover.errors import (
 )
 
 TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv):
@@ -125,6 +126,32 @@ def test_orbit_degenerate_counts_exit_one(argv):
     assert "pass" not in out and "discrepancy" not in out
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["orbit", "profile", str(2 * 10**154), "1"], "weight k"),
+        (["orbit", "profile", str(10**400 + 1), str(10**400)], "weight k"),
+        (["orbit", "profile", "2", "1", "--points", str(2 * 10**308)], "--points"),
+        (["orbit", "profile", "2", "1", "--points", str(10**400)], "--points"),
+    ],
+)
+def test_orbit_profile_refuses_values_beyond_floating_point_before_any_output(argv, what):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == f"SpecViolation: {what} is too large for floating point\n"
+
+
+def test_orbit_values_that_fit_a_float_keep_their_output():
+    k = 10**154 + 1  # k*k still converts to a float
+    code, out, _ = run_cli(["orbit", "profile", str(k), "1", "--points", "2"])
+    assert code == 0
+    assert out == f"t,f_{k}_1\n0,0\n0.785398163397,7.07106781187e-155\n1.57079632679,1e-154\n"
+    k = 10**400 + 1  # compared exactly, on integers
+    code, out, _ = run_cli(["orbit", "compare", "--chain", str(k), "1", "--format", "csv"])
+    assert code == 0
+    assert out == f'comparison,holds\n"f(1,1) >= f({k},1)",True\n"f({k},1) >= f({k},1)",True\n'
+
+
 def test_orbit_validate_negative_seed_exits_one(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"seed": -1}')
@@ -148,12 +175,11 @@ def test_orbit_validate_weight_limit_exits_one():
 def test_cli_import_leaves_scipy_unloaded():
     # numpy too: only the orbit oracle imports it, on first call; and mpmath,
     # which only the interval fallback of ExactScalar.sign loads
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     probe = (
         "import sys, spherecover.cli; "
         "print(*(m in sys.modules for m in ('scipy', 'numpy', 'mpmath')))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False False False"
@@ -658,6 +684,17 @@ def test_tetrahedral_power_above_the_cap_is_refused_at_once():
     assert err == "CapExceeded: closure exceeded cap of 100000 elements\n"
 
 
+@pytest.mark.parametrize("k", ["1000000000", str(10**400)], ids=["1e9", "1e400"])
+def test_a_huge_tetrahedral_power_is_refused_without_forming_it(k):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "spherecover.cli", "spaceform", "verify", "tetrahedral", "--k", k],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "CapExceeded: closure exceeded cap of 100000 elements\n"
+
+
 def test_corpus_cache_entry_that_is_a_directory_is_an_input_error(tmp_path):
     corpus = tmp_path / "one.tsv"
     corpus.write_text("x\ttwobridge\t5 2\n")
@@ -792,6 +829,11 @@ def _ints(lo, hi):
     return st.integers(lo, hi).map(str)
 
 
+# a value every command that reads it must refuse at once; moderately large
+# values such as 10**12 legitimately run long and are not drawn
+_HUGE = st.just(str(10**400))
+
+
 _TOKEN = st.one_of(_ints(-3, 40), _FIELD)
 _COMMON = {"--format": st.sampled_from(["table", "json", "csv"]), "--seed": _ints(-1, 5)}
 
@@ -816,7 +858,7 @@ def _argument_lists(draw, positionals, options):
 @given(
     _argument_lists(
         [st.sampled_from(["cyclic", "tetrahedral", "icosahedral"])],
-        {"--m": _ints(-1, 13), "--p": _ints(-5, 13), "--k": _ints(-1, 4)},
+        {"--m": _ints(-1, 13), "--p": _ints(-5, 13), "--k": _ints(-1, 4) | _HUGE},
     ),
     st.integers(-2, 2) | st.integers(100, 600),
 )
@@ -826,9 +868,9 @@ def test_spaceform_verify_on_an_arbitrary_argument_list_exits_with_a_documented_
     assert code in (0, 1, 3)
 
 
-_WEIGHT = _ints(-1, 12)
+_WEIGHT = _ints(-1, 12) | _HUGE
 _ORBIT_ARGUMENTS = {
-    "profile": ([_WEIGHT, _WEIGHT], {"--points": _ints(-2, 60)}),
+    "profile": ([_WEIGHT, _WEIGHT], {"--points": _ints(-2, 60) | _HUGE}),
     "compare": ([st.just("--chain"), _WEIGHT, _WEIGHT], {}),
     "validate": ([_WEIGHT, _WEIGHT], {}),
 }

@@ -2,13 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import cyclotomic_oracle
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherecover import cyclotomic as cy
-from spherecover.errors import InvalidArgument, NotReal, SphereCoverError
+from spherecover.errors import InternalInconsistency, InvalidArgument, NotReal, SphereCoverError
 
 
 def sqrt2():
@@ -308,3 +309,23 @@ def test_equality_across_conductors_lifts():
     assert s.lift(56) != cy.cos_tau(1, 7)
     one8, one56 = cy.rational(1, 8), cy.rational(1, 56)
     assert one8 == 1 and one56 == Fraction(1) and one8 == one56
+
+
+def test_cyclotomic_polynomial_equals_the_divisor_recursion():
+    for n in range(1, 601):
+        assert cy.cyclotomic_polynomial(n) == cyclotomic_oracle.cyclotomic_polynomial(n), n
+
+
+@pytest.mark.parametrize("n", [2004, 4004, 19996, 120120])
+def test_large_cyclotomic_polynomials_have_degree_phi_and_are_palindromic(n):
+    poly = cy.cyclotomic_polynomial(n)
+    assert len(poly) - 1 == sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+    assert poly == poly[::-1]
+
+
+def test_a_cyclotomic_division_remainder_raises_even_without_asserts(monkeypatch):
+    # every remainder reads as nonzero: a raise, not an assert, reports it
+    monkeypatch.setattr(cy, "any", lambda values: True, raising=False)
+    assert cy.cyclotomic_polynomial(1) == (-1, 1)  # x - 1, no division
+    with pytest.raises(InternalInconsistency):
+        cy.cyclotomic_polynomial(5)

@@ -4,9 +4,12 @@ The files under ``tests/data/`` hold the stdout of ``python -m
 spherecover.cli``.  The space-form files were recorded from the plain
 exact arithmetic, before its fast paths: sparse canonical keys,
 one-conductor ``product_sum``, same-conductor ``==``, and SO(4)
-representatives read from the Spin pair.  The knot files were recorded
-while the cover group was still closed by products in the regular group
-of the coset table, before it was read off the table's columns.  No fast
+representatives read from the Spin pair.  The cyclic(1001, 2) file, at
+conductor 4004, was recorded while Phi_n was still made by dividing
+x^n - 1 by Phi_d for every proper divisor d, before the Moebius product
+of binomials.  The knot files were recorded while the cover group was
+still closed by products in the regular group of the coset table, before
+it was read off the table's columns.  No fast
 path may change a printed byte or an exit code.  The orbit files were
 recorded while the profile was still evaluated with numpy and the
 geodesics by quadrature.  The ``knot gen`` files were recorded while the
@@ -65,8 +68,20 @@ def assert_output_is_golden(argv, golden, code):
             "spaceform_verify_tetrahedral_7_2.txt",
             0,
         ),
+        # conductor 4004: Phi_4004 of degree 1440, a 562-row power table
+        (
+            ["spaceform", "verify", "cyclic", "--m", "1001", "--p", "2"],
+            "spaceform_verify_cyclic_1001_2.txt",
+            0,
+        ),
     ],
-    ids=["sweep-table", "sweep-json", "verify-icosahedral-1", "verify-tetrahedral-7-2"],
+    ids=[
+        "sweep-table",
+        "sweep-json",
+        "verify-icosahedral-1",
+        "verify-tetrahedral-7-2",
+        "verify-cyclic-1001-2",
+    ],
 )
 def test_spaceform_output_is_byte_identical(argv, golden, code):
     assert_output_is_golden(argv, golden, code)
