@@ -21,6 +21,7 @@ UnclassifiedFiniteGroup rather than being binned silently.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 
@@ -70,6 +71,37 @@ class CoverReport:
         if self.error is not None:
             rec["error"] = self.error
         return rec
+
+    def stored(self):
+        """The cache entry of this report: its record without the name, as JSON bytes."""
+        rec = self.to_record()
+        del rec["name"]
+        return json.dumps(rec).encode()
+
+    @classmethod
+    def from_stored(cls, name, data):
+        """The report named ``name`` whose :meth:`stored` bytes are ``data``, else None.
+
+        No entry (``data`` None), bytes that do not decode or parse, and bytes
+        that the report would not store exactly so (another key order,
+        spacing or schema) are a miss.
+        """
+        try:
+            rec = json.loads(data)
+            det, orbifold, cover = rec["det"], rec["orbifold_order"], rec["cover_order"]
+            if any(v is not None and type(v) is not int for v in (det, orbifold, cover)):
+                return None  # json.dumps writes 5.0 and true back as they were read
+            report = cls(name, determinant=det, orbifold_order=orbifold, cover_order=cover)
+            if rec["h1"] is not None:  # "0", "Z/3 x Z/9": from_factors drops the 0
+                factors = rec["h1"].split(" x ")
+                report.h1 = AbelianGroup.from_factors(int(d.removeprefix("Z/")) for d in factors)
+            if rec["classification"] is not None:  # "cyclic(5)": the label and the order
+                report.classification, _, order = rec["classification"].partition("(")
+                if order:
+                    report.cyclic_order = int(order.removesuffix(")"))
+        except (TypeError, ValueError, KeyError, AttributeError, RecursionError):
+            return None  # RecursionError: nested too deep
+        return report if report.stored() == data else None
 
 
 def classify_finite(group, abelianization):
@@ -222,17 +254,30 @@ class CorpusSummary:
     row_errors: int
 
 
-def analyze_row(row, coset_cap=pr.DEFAULT_COSET_CAP):
-    """The report of one corpus row; any library error it raises is the report's error."""
+def analyze_row(row, coset_cap=pr.DEFAULT_COSET_CAP, cache=None):
+    """The report of one corpus row; any library error it raises is the report's error.
+
+    With a ``cache`` (a :class:`~spherecover.cache.ResultCache`), an entry
+    holding exactly the bytes the report would store is read back instead,
+    and a fresh report without an error is stored.
+    """
     rname, fmt, payload = row
+    if cache is not None:
+        key = cache.key_for(payload, fmt, coset_cap)
+        hit = CoverReport.from_stored(rname, cache.get(key))
+        if hit is not None:
+            return hit
     try:
         diagram = diagram_from_payload(fmt, payload, name=rname)
-        return analyze(diagram, coset_cap=coset_cap, name=rname)
+        report = analyze(diagram, coset_cap=coset_cap, name=rname)
     except SphereCoverError as exc:
         return CoverReport(rname, error=f"{type(exc).__name__}: {exc}")
+    if cache is not None:
+        cache.put(key, report.stored())
+    return report
 
 
-def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP):
-    """Analyze every corpus row; per-row failures are recorded, not fatal."""
-    reports = sorted((analyze_row(row, coset_cap) for row in rows), key=lambda r: r.name)
+def run_corpus(rows, coset_cap=pr.DEFAULT_COSET_CAP, cache=None):
+    """Analyze every corpus row, then sort stably by name; row failures are recorded, not fatal."""
+    reports = sorted((analyze_row(row, coset_cap, cache) for row in rows), key=lambda r: r.name)
     return CorpusSummary(reports, row_errors=sum(1 for r in reports if r.error))

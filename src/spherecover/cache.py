@@ -3,17 +3,21 @@
 Keys hash the input payload together with every cap that affects the
 computation and an algorithm-version tag, so changing the enumeration
 strategy or caps invalidates old entries instead of resurrecting them.
-Values are the exact serialized report bytes; a hit is byte-identical to
-the original run.  Writes go through a temp file and an atomic rename,
-so concurrent readers never observe partial entries.
+Values are the bytes ``CoverReport.stored`` writes; an entry is a hit
+exactly when it holds the bytes its report would store, so a hit is
+byte-identical to the original run.  Writes go through a temp file and an
+atomic rename, so concurrent readers never observe partial entries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import tempfile
+
+from .errors import InputFileError
 
 ALGO_VERSION = "spherecover-pipeline/2"
 
@@ -21,7 +25,10 @@ ALGO_VERSION = "spherecover-pipeline/2"
 class ResultCache:
     def __init__(self, root):
         self.root = root
-        os.makedirs(root, exist_ok=True)
+        try:
+            os.makedirs(root, exist_ok=True)
+        except OSError as exc:
+            raise InputFileError(f"cannot use cache directory: {exc}") from exc
 
     @staticmethod
     def key_for(payload, fmt, coset_cap):
@@ -48,14 +55,16 @@ class ResultCache:
             return None
 
     def put(self, key, data):
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        """Store ``data`` under ``key``; a write that fails leaves no temp file behind."""
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, self.path(key))
-        except BaseException:
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+                os.replace(tmp, self.path(key))
+            except BaseException:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise InputFileError(f"cannot write cache entry {self.path(key)}: {exc}") from exc

@@ -10,10 +10,11 @@ Commands:
   orbit validate   oracle gate for the closed-form profile
   corpus run       every corpus row, with optional result cache
 
-Exit codes: 0 success; 1 bad input/parameters, usage errors included; 3
-failed space-form check or oracle mismatch; 4 corpus row errors; 5 internal
-inconsistency (two computation routes disagree: a bug, not bad input).  Code
-2 is not used.  Reports are deterministic; timings appear only with --timings.
+Exit codes: 0 success; 1 bad input/parameters, usage errors and running out
+of memory included; 3 failed space-form check or oracle mismatch; 4 corpus
+row errors; 5 internal inconsistency (two computation routes disagree: a bug,
+not bad input).  Code 2 is not used.  Reports are deterministic; timings
+appear only with --timings.
 """
 
 from __future__ import annotations
@@ -200,47 +201,6 @@ def cmd_orbit_validate(args, config, out):
     return EXIT_OK
 
 
-# a stored entry is CoverReport.to_record() without its name: these keys in
-# this order, each value of its type or null
-_ENTRY_TYPES = {
-    "schema": str,
-    "det": int,
-    "h1": str,
-    "orbifold_order": int,
-    "cover_order": int,
-    "classification": str,
-}
-
-
-def _cached_record(cache, key):
-    """The cached record, or None on a miss or an entry that is not a stored record.
-
-    An entry that does not decode (say, truncated) or has another shape is
-    recomputed and rewritten.
-    """
-    hit = cache.get(key)
-    try:
-        rec = json.loads(hit) if hit is not None else None
-    except (ValueError, RecursionError):  # RecursionError: nested too deep
-        return None
-    if not isinstance(rec, dict) or list(rec) != list(_ENTRY_TYPES):
-        return None
-    typed = all(v is None or type(v) is _ENTRY_TYPES[k] for k, v in rec.items())
-    return rec if typed and rec["schema"] == analyzer.REPORT_SCHEMA else None
-
-
-def _attach_name(cached_rec, name, show_timing):
-    """A cached record with the row name in place, as a fresh record has it.
-
-    A hit carries no timing of its own: with ``--timings`` it reads
-    ``"ms": null`` where a fresh record has its time.
-    """
-    out = {"schema": cached_rec["schema"], "name": name, **cached_rec}
-    if show_timing:
-        out["ms"] = None
-    return out
-
-
 def _read_corpus(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -251,38 +211,15 @@ def _read_corpus(path):
         raise InputFileError(f"cannot read corpus: {exc}") from exc
 
 
-def _open_cache(path):
-    try:
-        return ResultCache(path)
-    except OSError as exc:
-        raise InputFileError(f"cannot use cache directory: {exc}") from exc
-
-
 def cmd_corpus_run(args, config, out):
     text = _read_corpus(config.corpus_path) if config.corpus_path else packaged_corpus_text()
     rows = analyzer.parse_corpus(text)
-    cache = _open_cache(config.cache_path) if config.cache_path else None
-    records = []
-    for row in rows:
-        name, fmt, payload = row
-        key = cache.key_for(payload, fmt, config.coset_cap) if cache else None
-        hit = _cached_record(cache, key) if cache else None
-        if hit is not None:
-            records.append(_attach_name(hit, name, config.show_timing))
-            continue
-        report = analyzer.analyze_row(row, config.coset_cap)
-        records.append(report.to_record(config.show_timing))
-        if cache and report.error is None:
-            nameless = {k: v for k, v in report.to_record().items() if k != "name"}
-            try:
-                cache.put(key, json.dumps(nameless, sort_keys=False).encode())
-            except OSError as exc:  # put has removed its temp file
-                raise InputFileError(f"cannot write cache entry {cache.path(key)}: {exc}") from exc
-    records.sort(key=lambda r: r["name"])
+    cache = ResultCache(config.cache_path) if config.cache_path else None
+    summary = analyzer.run_corpus(rows, config.coset_cap, cache)
+    records = [r.to_record(config.show_timing) for r in summary.reports]
     _emit_records(records, config.output_format, out)
-    errors = sum("error" in rec for rec in records)
-    out.write(f"row_errors: {errors}\n")
-    return EXIT_ROW_ERRORS if errors else EXIT_OK
+    out.write(f"row_errors: {summary.row_errors}\n")
+    return EXIT_ROW_ERRORS if summary.row_errors else EXIT_OK
 
 
 def _common_options():
@@ -388,6 +325,9 @@ def main(argv=None, out=None, err=None):
         return EXIT_INTERNAL
     except SphereCoverError as exc:
         err.write(f"{type(exc).__name__}: {exc}\n")
+        return EXIT_INPUT
+    except MemoryError as exc:
+        err.write(f"MemoryError: {str(exc) or 'out of memory'}\n")
         return EXIT_INPUT
 
 

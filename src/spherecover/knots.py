@@ -220,7 +220,7 @@ class BraidWord:
         return comps
 
 
-def parse_braid(text, name=""):
+def parse_braid(text):
     """Parse 'strands=n w1 w2 ...' into a braid word."""
     tokens = text.split()
     if not tokens or not tokens[0].startswith("strands="):

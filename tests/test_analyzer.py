@@ -6,6 +6,7 @@ from spherecover import analyzer as an
 from spherecover import cli
 from spherecover import knots as kn
 from spherecover import presentations as pr
+from spherecover.cache import ResultCache
 from spherecover.config import packaged_corpus_text
 from spherecover.errors import InternalInconsistency, ParseError, UnclassifiedFiniteGroup
 from spherecover.groups import FiniteGroup
@@ -184,6 +185,21 @@ def test_run_corpus_collects_row_errors():
     errs = [r for r in summary.reports if r.error]
     assert len(errs) == 1 and errs[0].name == "bad"
     assert "ParseError" in errs[0].error
+
+
+def test_run_corpus_reads_back_what_it_stores(tmp_path):
+    rows = [("bad", "pd", "[(1,2,3)]"), ("trefoil", "pd", TREFOIL_PD), ("b75", "twobridge", "7 5")]
+    cache = ResultCache(str(tmp_path))
+    runs = [an.run_corpus(rows, cache=cache) for _ in range(2)]
+    # sorted: b75, bad, trefoil; a report read back carries no time
+    assert [r.ms is None for r in runs[0].reports] == [False, True, False]
+    assert [r.ms is None for r in runs[1].reports] == [True, True, True]
+    assert [r.to_record() for r in runs[0].reports] == [r.to_record() for r in runs[1].reports]
+    assert runs[0].row_errors == runs[1].row_errors == 1
+    # the error row is never stored: one entry per good row
+    assert len(list(tmp_path.iterdir())) == 2
+    key = cache.key_for("[(1,2,3)]", "pd", pr.DEFAULT_COSET_CAP)
+    assert cache.get(key) is None
 
 
 def test_report_record_key_order():

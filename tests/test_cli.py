@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherecover import analyzer, cli, groups, knots, orbits, presentations
+from spherecover import analyzer, cli, groups, knots, orbits, presentations, spaceforms
 from spherecover.cache import ResultCache
 from spherecover.config import RunConfig, load_config
 from spherecover.errors import (
@@ -470,12 +470,44 @@ _SCHEMA_1_ENTRY = (
     b'{"schema": "cover-report/1", "det": 5, "h1": "Z/5", "orbifold_order": 10, '
     b'"cover_order": 5, "classification": "cyclic(5)", "trichotomy_consistent": true}'
 )
+# the row's entry, file name and output as cover-report/2 first wrote them
+_SCHEMA_2_ENTRY = (
+    b'{"schema": "cover-report/2", "det": 5, "h1": "Z/5", "orbifold_order": 10, '
+    b'"cover_order": 5, "classification": "cyclic(5)"}'
+)
+_SCHEMA_2_FILE = "c929fd02b8bc5acc11d53603c668a69806016c51c43dbd83440f2ffbc1ed0382.json"
+_SCHEMA_2_OUT = (
+    '{"schema": "cover-report/2", "name": "x", "det": 5, "h1": "Z/5", "orbifold_order": 10, '
+    '"cover_order": 5, "classification": "cyclic(5)", "ms": null}\nrow_errors: 0\n'
+)
+
+
+def test_corpus_reads_an_entry_written_by_the_first_cover_report_2_runner(tmp_path):
+    corpus = tmp_path / "one.tsv"
+    corpus.write_text("x\ttwobridge\t5 2\n")
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / _SCHEMA_2_FILE).write_bytes(_SCHEMA_2_ENTRY)
+    argv = ["corpus", "run", "--corpus", str(corpus), "--cache", str(cache_dir), "--format", "json"]
+    assert run_cli(argv + ["--timings"]) == (0, _SCHEMA_2_OUT, "")  # "ms": null: a hit
+    assert [p.name for p in cache_dir.iterdir()] == [_SCHEMA_2_FILE]
+    assert (cache_dir / _SCHEMA_2_FILE).read_bytes() == _SCHEMA_2_ENTRY
 
 
 @pytest.mark.parametrize(
     "entry",
-    [b'{"det": 3}', b'{"schema": "cover-report/1", "det": "x"}', b"[" * 100_000, _SCHEMA_1_ENTRY],
-    ids=["keys", "types", "nesting", "schema-1"],
+    [
+        b'{"det": 3}',
+        b'{"schema": "cover-report/1", "det": "x"}',
+        b"[" * 100_000,
+        _SCHEMA_1_ENTRY,
+        json.dumps(json.loads(_SCHEMA_2_ENTRY), separators=(",", ":")).encode(),
+        _SCHEMA_2_ENTRY.replace(b'"Z/5"', b'"Z/5 x 0"'),
+        _SCHEMA_2_ENTRY.replace(b'"cyclic(5)"', b'"cyclic(x)"'),
+        _SCHEMA_2_ENTRY.replace(b'"det": 5', b'"det": 5.0'),
+        _SCHEMA_2_ENTRY.replace(b'"det": 5', b'"det": true'),
+    ],
+    ids=["keys", "types", "nesting", "schema-1", "compact", "h1", "label", "float", "bool"],
 )
 def test_corpus_recomputes_cache_entry_of_the_wrong_shape(tmp_path, entry):
     corpus = tmp_path / "one.tsv"
@@ -682,6 +714,15 @@ def test_tetrahedral_power_above_the_cap_is_refused_at_once():
     assert time.perf_counter() - t0 < 2.0
     assert code == 1 and out == ""
     assert err == "CapExceeded: closure exceeded cap of 100000 elements\n"
+
+
+def test_running_out_of_memory_is_one_line_and_exit_one(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spaceforms, "build", exhausted)
+    code, out, err = run_cli(["spaceform", "verify", "cyclic", "--m", "2001", "--p", "2"])
+    assert (code, out, err) == (1, "", "MemoryError: out of memory\n")
 
 
 @pytest.mark.parametrize("k", ["1000000000", str(10**400)], ids=["1e9", "1e400"])
