@@ -131,8 +131,8 @@ def classify_finite(group, abelianization):
     )
 
 
-def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
-    """Full pipeline on one diagram; raises on internal inconsistencies.
+def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name="knot"):
+    """Full pipeline on one diagram, reported as ``name``; raises on internal inconsistencies.
 
     The orbifold group G is enumerated over the cosets of <x1>, x1 the
     first bridge generator, with at most ``coset_cap`` live cosets.  The
@@ -140,7 +140,7 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
     :func:`~spherecover.presentations.branched_cover_group` has shown x1 != 1.
     """
     t0 = time.perf_counter()
-    report = CoverReport(name or diagram.name or "knot")
+    report = CoverReport(name)
     pres = pr.bridge_presentation(pr.wirtinger(diagram))
     det = pr.meridian_determinant(pres)
     h1 = kn.h1_double_cover(diagram)
@@ -186,7 +186,7 @@ def analyze(diagram, coset_cap=pr.DEFAULT_COSET_CAP, name=None):
 # -- corpus ------------------------------------------------------------------------
 
 
-def diagram_from_payload(fmt, payload, name="", reduce=True):
+def diagram_from_payload(fmt, payload, reduce=True):
     """Corpus row dispatch; formats: pd, dt, braid, torus, twobridge, montesinos.
 
     A braid row closes to its Markov-reduced word, and a torus row T(p, q)
@@ -196,20 +196,20 @@ def diagram_from_payload(fmt, payload, name="", reduce=True):
     """
     fmt = fmt.strip().lower()
     if fmt == "pd":
-        return kn.parse_pd(payload, name=name)
+        return kn.parse_pd(payload)
     if fmt == "dt":
-        return kn.parse_dt(payload, name=name)
+        return kn.parse_dt(payload)
     if fmt == "braid":
-        return kn.braid_to_diagram(kn.parse_braid(payload), name=name, reduce=reduce)
+        return kn.braid_to_diagram(kn.parse_braid(payload), reduce=reduce)
     if fmt == "torus":
         p, q = _integers(payload, 2)
         braid = kn.torus_knot(p, q)
         if reduce and p > q:
             braid = kn.torus_knot(q, p)
-        return kn.braid_to_diagram(braid, name=name)
+        return kn.braid_to_diagram(braid)
     if fmt == "twobridge":
         p, q = _integers(payload, 2)
-        return kn.two_bridge(p, q, name=name)
+        return kn.two_bridge(p, q)
     if fmt == "montesinos":
         head, _, tail = payload.partition(";")
         head = head.strip()
@@ -220,7 +220,7 @@ def diagram_from_payload(fmt, payload, name="", reduce=True):
         for tok in tail.split():
             num, _, den = tok.partition("/")
             fractions.append(_integers(f"{num} {den}", 2))
-        return kn.montesinos(e, fractions, name=name)
+        return kn.montesinos(e, fractions)
     raise ParseError(f"unknown corpus format {fmt!r}", 0)
 
 
@@ -268,7 +268,7 @@ def analyze_row(row, coset_cap=pr.DEFAULT_COSET_CAP, cache=None):
         if hit is not None:
             return hit
     try:
-        diagram = diagram_from_payload(fmt, payload, name=rname)
+        diagram = diagram_from_payload(fmt, payload)
         report = analyze(diagram, coset_cap=coset_cap, name=rname)
     except SphereCoverError as exc:
         return CoverReport(rname, error=f"{type(exc).__name__}: {exc}")

@@ -72,6 +72,7 @@ def _emit_records(records, fmt, out):
 
 
 def _knot_diagram_from_args(args, reduce=True):
+    """The diagram of the one input given, and the default name of its kind."""
     sources = [
         ("pd", args.pd),
         ("dt", args.dt),
@@ -89,18 +90,18 @@ def _knot_diagram_from_args(args, reduce=True):
         kind = kind.replace("_", "")
         p, q = value
         name, value = f"{kind}({p},{q})", f"{p} {q}"
-    return analyzer.diagram_from_payload(kind, value, name=args.name or name, reduce=reduce)
+    return analyzer.diagram_from_payload(kind, value, reduce=reduce), name
 
 
 def cmd_knot_analyze(args, config, out):
-    diagram = _knot_diagram_from_args(args)
-    report = analyzer.analyze(diagram, coset_cap=config.coset_cap)
+    diagram, name = _knot_diagram_from_args(args)
+    report = analyzer.analyze(diagram, coset_cap=config.coset_cap, name=args.name or name)
     _emit_records([report.to_record(config.show_timing)], config.output_format, out)
     return EXIT_OK
 
 
 def cmd_knot_gen(args, config, out):
-    diagram = _knot_diagram_from_args(args, reduce=False)
+    diagram, _ = _knot_diagram_from_args(args, reduce=False)
     out.write(diagram.pd_text() + "\n")
     return EXIT_OK
 
@@ -260,7 +261,8 @@ def build_parser():
         k.add_argument("--torus", nargs=2, type=int, metavar=("P", "Q"))
         k.add_argument("--two-bridge", dest="two_bridge", nargs=2, type=int, metavar=("P", "Q"))
         k.add_argument("--montesinos", help="e=E; n1/d1 n2/d2 ...")
-        k.add_argument("--name")
+        if handler is cmd_knot_analyze:
+            k.add_argument("--name")
 
     sform = sub.add_parser("spaceform", help="space-form verification")
     sform_sub = sform.add_subparsers(dest="subcommand", required=True)

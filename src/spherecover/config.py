@@ -71,7 +71,11 @@ def load_config(path=None, overrides=None):
     path = path or os.environ.get(ENV_CONFIG)
     if path:
         with open(path, encoding="utf-8") as fh:
-            config = _apply(config, json.load(fh), path)
+            try:
+                document = json.load(fh)
+            except RecursionError:
+                raise ConfigError(f"config in {path} is nested too deep") from None
+        config = _apply(config, document, path)
     if overrides:
         config = _apply(config, overrides, "command line")
     return config.validate()

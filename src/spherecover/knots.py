@@ -49,7 +49,6 @@ class KnotDiagram:
     """Validated single-component diagram with arc structure."""
 
     crossings: list[Crossing]
-    name: str
     arc_of_edge: dict
     arc_count: int
 
@@ -66,7 +65,7 @@ def _succ(e, n2):
     return e % n2 + 1
 
 
-def diagram_from_pd_tuples(tuples, name=""):
+def diagram_from_pd_tuples(tuples):
     """Validate raw PD tuples and compute arcs; raises ValidationError.
 
     Every crossing gives two edges the successor e % 2n + 1, and no edge is
@@ -78,7 +77,7 @@ def diagram_from_pd_tuples(tuples, name=""):
     tuples = [tuple(int(x) for x in t) for t in tuples]
     n = len(tuples)
     if n == 0:
-        return KnotDiagram([], name, {1: 0}, 1)
+        return KnotDiagram([], {1: 0}, 1)
     n2 = 2 * n
     counts = {}
     for t in tuples:
@@ -126,13 +125,13 @@ def diagram_from_pd_tuples(tuples, name=""):
         if e in starts and e != 1:
             arc += 1
         arc_of_edge[e] = arc % n
-    return KnotDiagram(crossings, name, arc_of_edge, n)
+    return KnotDiagram(crossings, arc_of_edge, n)
 
 
 # -- PD parsing -----------------------------------------------------------------
 
 
-def parse_pd(text, name=""):
+def parse_pd(text):
     """Parse '[(a,b,c,d),(e,f,g,h),...]' into a validated diagram."""
     pos = 0
     n = len(text)
@@ -183,7 +182,7 @@ def parse_pd(text, name=""):
     skip_ws()
     if pos != n:
         raise ParseError("trailing input", pos)
-    return diagram_from_pd_tuples(tuples, name=name)
+    return diagram_from_pd_tuples(tuples)
 
 
 # -- braid words ----------------------------------------------------------------
@@ -344,7 +343,7 @@ class _Assembler:
     def add_crossing(self, ends, under_slot):
         self.crossings.append((list(ends), under_slot % 2))
 
-    def finish(self, name=""):
+    def finish(self):
         incidences = {}
         for ci, (ends, _) in enumerate(self.crossings):
             for slot, key in enumerate(ends):
@@ -368,10 +367,10 @@ class _Assembler:
         if label != n2:
             raise NotAKnot(f"{label} of {n2} edges on the first component")
         tuples = [tuple(row[u:] + row[:u]) for row, u in zip(rows, under_in)]
-        return diagram_from_pd_tuples(tuples, name=name)
+        return diagram_from_pd_tuples(tuples)
 
 
-def braid_to_diagram(braid, name="", reduce=False):
+def braid_to_diagram(braid, reduce=False):
     """Close a braid word into a knot diagram; rejects multi-component closures.
 
     The crossing limit and the component count apply to the word as given;
@@ -399,8 +398,8 @@ def braid_to_diagram(braid, name="", reduce=False):
     if braid.letters:
         for s in range(braid.strands):
             asm.union(cur[s], top[s])
-        return asm.finish(name=name)
-    return diagram_from_pd_tuples([], name=name)
+        return asm.finish()
+    return diagram_from_pd_tuples([])
 
 
 # -- rational tangles and their closures ---------------------------------------
@@ -476,22 +475,22 @@ def rational_tangle(asm, p, q):
     return tangle
 
 
-def two_bridge(p, q, name=""):
+def two_bridge(p, q):
     """4-plat diagram of the two-bridge knot determined by the fraction p/q."""
     if p < 1 or p % 2 == 0:
         raise SpecViolation("two-bridge p must be odd and positive")
     if p == 1:
-        return diagram_from_pd_tuples([], name=name or "unknot")
+        return diagram_from_pd_tuples([])
     if not 0 < q < p or math.gcd(p, q) != 1:
         raise SpecViolation("two-bridge q must satisfy 0 < q < p, gcd(p,q) = 1")
     asm = _Assembler()
     tangle = rational_tangle(asm, p, q)
     asm.union(tangle.nw, tangle.ne)
     asm.union(tangle.sw, tangle.se)
-    return asm.finish(name=name or f"twobridge({p},{q})")
+    return asm.finish()
 
 
-def montesinos(e, fractions, name=""):
+def montesinos(e, fractions):
     """Numerator closure of a sum of rational tangles plus e extra half-twists.
 
     Fractions are (numerator, denominator) pairs building tangles of value
@@ -511,8 +510,7 @@ def montesinos(e, fractions, name=""):
     _check_crossings(twists, "montesinos diagram")
     if not fractions:
         return braid_to_diagram(
-            BraidWord(2, tuple([1 if e > 0 else -1] * abs(e))) if e else BraidWord(1, ()),
-            name=name or "unknot",
+            BraidWord(2, tuple([1 if e > 0 else -1] * abs(e))) if e else BraidWord(1, ())
         )
     asm = _Assembler()
     tangles = [rational_tangle(asm, num, den) for num, den in fractions]
@@ -525,7 +523,7 @@ def montesinos(e, fractions, name=""):
         combined.twist_right(1 if e > 0 else -1)
     asm.union(combined.nw, combined.ne)
     asm.union(combined.sw, combined.se)
-    return asm.finish(name=name or f"montesinos(e={e})")
+    return asm.finish()
 
 
 # -- DT codes -------------------------------------------------------------------
@@ -533,7 +531,7 @@ def montesinos(e, fractions, name=""):
 DT_REALIZATION_CAP = 14
 
 
-def parse_dt(text, name=""):
+def parse_dt(text):
     """Parse a single-row DT code ('4 6 2'), realizing a planar diagram.
 
     Convention: entry i pairs odd position 2i-1 with the given even
@@ -591,7 +589,7 @@ def parse_dt(text, name=""):
             else:
                 tuples.append((a, b_in, c, b_out))
         if face_count(tuples) == n + 2:
-            return diagram_from_pd_tuples(tuples, name=name)
+            return diagram_from_pd_tuples(tuples)
     raise ValidationError("DT code is not realizable as a planar knot diagram")
 
 

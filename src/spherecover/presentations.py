@@ -67,7 +67,12 @@ def cyclic_reduce(word):
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Generators 1..ngens and freely reduced relator words."""
+    """Generators 1..ngens and nonempty, cyclically reduced relator words.
+
+    :meth:`make` reduces the words it is given and drops the empty ones;
+    the constructor rejects a relator that is empty or not cyclically
+    reduced, so every consumer reads the relators as they are.
+    """
 
     ngens: int
     relators: tuple[tuple[int, ...], ...]
@@ -79,12 +84,12 @@ class GroupPresentation:
             for letter in rel:
                 if letter == 0 or abs(letter) > self.ngens:
                     raise ValidationError(f"relator letter {letter} out of range")
-            if free_reduce(rel) != rel:
-                raise ValidationError(f"relator {rel!r} is not freely reduced")
+            if not rel or cyclic_reduce(rel) != rel:
+                raise ValidationError(f"relator {rel!r} is empty or not cyclically reduced")
 
     @classmethod
     def make(cls, ngens, relators):
-        return cls(ngens, tuple(free_reduce(r) for r in relators))
+        return cls(ngens, tuple(r for r in map(cyclic_reduce, relators) if r))
 
 
 # -- knot presentations -----------------------------------------------------------
@@ -97,17 +102,14 @@ def wirtinger(diagram):
     relator is w^s a w^-s c^-1; one redundant relator is dropped.
     """
     arcs = diagram.arc_of_edge
-    ngens = diagram.arc_count
     relators = []
     for cr in diagram.crossings:
         w = arcs[cr.over_edges[0]] + 1
         a = arcs[cr.under_in] + 1
         c = arcs[cr.under_out] + 1
         s = cr.sign
-        relators.append(free_reduce((s * w, a, -s * w, -c)))
-    if relators:
-        relators = relators[:-1]
-    return GroupPresentation.make(ngens, [r for r in relators if r])
+        relators.append((s * w, a, -s * w, -c))
+    return GroupPresentation.make(diagram.arc_count, relators[:-1])
 
 
 def _inverse(word):
@@ -189,7 +191,7 @@ def bridge_presentation(pres):
         return list(dict.fromkeys(out))
 
     survivors = list(range(1, pres.ngens + 1))
-    rels = distinct_ids(map(cyclic_reduce, pres.relators))
+    rels = distinct_ids(pres.relators)
     while True:
         holders = {}
         for k, rid in enumerate(rels):
@@ -292,7 +294,7 @@ class _Enumerator:
         self.ngens = pres.ngens
         self.cap = cap
         self.fixed = tuple(fixed)
-        self.relators = [r for r in map(cyclic_reduce, pres.relators) if r]
+        self.relators = list(pres.relators)
         squares = {r for r in self.relators if len(r) == 2 and r[0] == r[1]}
         involutions = {abs(r[0]) for r in squares}
         # A squared generator gets one self-inverse column, any other
@@ -474,24 +476,6 @@ class _Enumerator:
         return table
 
 
-def _search(perms, n):
-    """The cosets a breadth-first search from coset 0 reaches, in that order.
-
-    A permutation's inverse is one of its powers, so the columns alone
-    reach the whole orbit.
-    """
-    seen = [False] * n
-    seen[0] = True
-    order = [0]
-    for c in order:
-        for perm in perms:
-            d = perm[c]
-            if not seen[d]:
-                seen[d] = True
-                order.append(d)
-    return order
-
-
 def certify_table(table, relators):
     """Closed-table certificate: bijectivity, transitivity, relator identity.
 
@@ -516,7 +500,9 @@ def certify_table(table, relators):
         steps[g], steps[-g] = perm, ip
     if any(g not in steps or steps[g][0] != 0 for g in table.fixed):
         return False
-    if len(_search(perms, n)) != n:  # transitivity
+    # transitivity; a permutation's inverse is one of its powers, so the
+    # columns alone reach the whole orbit
+    if len(FiniteGroup.map_closure(perms, n)) != n:
         return False
     cosets = list(range(n))
     for rel in relators:
@@ -556,8 +542,8 @@ def branched_cover_group(outcome):
     K is generated by the Schreier elements g * t^-1 and t * g over the
     transversal {identity, t}, with t = x1.  Each acts on cosets as the
     composition of two columns, and the coset it takes 0 to names it.
-    They are taken in search order, the order in which closure on the
-    table finds the cosets; those that enlarge the kernel are kept
+    They are taken in the order in which ``FiniteGroup.map_closure`` of
+    the columns finds the cosets; those that enlarge the kernel are kept
     (:func:`~spherecover.groups.greedy_closure`), and the kernel is closed
     on their actions, over the orbit of coset 0.  Its elements are cosets,
     and x * k is the action of k on x.
@@ -586,7 +572,7 @@ def branched_cover_group(outcome):
         for action in ([tinv[y] for y in g], [g[y] for y in t]):
             if actions.setdefault(action[0], action) != action:
                 raise InternalInconsistency("parity kernel does not act simply transitively")
-    order = _search(perms, n)
+    order = FiniteGroup.map_closure(perms, n).elements
     _, kept = greedy_closure(sorted(actions, key=order.index), lambda x, k: actions[k][x], n)
     kernel = FiniteGroup.map_closure([actions[k] for k in kept], n)
     labels = kernel.elements

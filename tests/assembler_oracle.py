@@ -17,9 +17,9 @@ def _succ(e, n2):
     return e % n2 + 1
 
 
-def finish(self, name=""):
+def finish(self):
     if not self.crossings:
-        return diagram_from_pd_tuples([], name=name)
+        return diagram_from_pd_tuples([])
     incidences = {}
     for ci, (ends, _) in enumerate(self.crossings):
         for slot, key in enumerate(ends):
@@ -62,4 +62,4 @@ def finish(self, name=""):
             else:
                 quad.append(_succ(labels[(ci, (s + 2) % 4)], n2))
         tuples.append(tuple(quad))
-    return diagram_from_pd_tuples(tuples, name=name)
+    return diagram_from_pd_tuples(tuples)

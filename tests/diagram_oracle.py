@@ -17,12 +17,12 @@ def _succ(e, n2):
     return e % n2 + 1
 
 
-def diagram_from_pd_tuples(tuples, name=""):
+def diagram_from_pd_tuples(tuples):
     _check_crossings(len(tuples), "PD diagram")
     tuples = [tuple(int(x) for x in t) for t in tuples]
     n = len(tuples)
     if n == 0:
-        return KnotDiagram([], name=name, arc_of_edge={1: 0}, arc_count=1)
+        return KnotDiagram([], arc_of_edge={1: 0}, arc_count=1)
     n2 = 2 * n
     counts = {}
     for t in tuples:
@@ -92,10 +92,10 @@ def diagram_from_pd_tuples(tuples, name=""):
         arc_of_edge[e] = reps[r]
     if len(reps) != n:
         raise ValidationError(f"expected {n} arcs, found {len(reps)}")
-    return KnotDiagram(crossings, name=name, arc_of_edge=arc_of_edge, arc_count=n)
+    return KnotDiagram(crossings, arc_of_edge=arc_of_edge, arc_count=n)
 
 
-def parse_dt(text, name=""):
+def parse_dt(text):
     tokens = text.split()
     if not tokens:
         raise ParseError("empty DT code", 0)
@@ -141,7 +141,7 @@ def parse_dt(text, name=""):
             else:
                 tuples.append((a, b_in, c, b_out))
         try:
-            diagram = diagram_from_pd_tuples(tuples, name=name)
+            diagram = diagram_from_pd_tuples(tuples)
         except ValidationError:
             continue
         if diagram_face_count(diagram) == n + 2:

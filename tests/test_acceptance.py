@@ -80,7 +80,7 @@ def test_acceptance_2_cover_order_trichotomy_on_corpus(corpus_summary):
 def test_acceptance_3_poincare_sphere_anchor():
     t0 = time.perf_counter()
     report = an.analyze(
-        kn.braid_to_diagram(kn.torus_knot(3, 5), name="torus_3_5"), coset_cap=200_000
+        kn.braid_to_diagram(kn.torus_knot(3, 5)), coset_cap=200_000, name="torus_3_5"
     )
     assert report.cover_order == 120
     assert report.h1 == la.AbelianGroup()
@@ -99,7 +99,7 @@ def test_acceptance_4_determinant_coherence(corpus_summary):
         # two fully independent paths: crossing matrix at -1 versus the
         # abelianization of the enumerated cover group, recomputed here
         name, fmt, payload = rows[report.name]
-        diagram = an.diagram_from_payload(fmt, payload, name=name)
+        diagram = an.diagram_from_payload(fmt, payload)
         det = kn.determinant(diagram)
         outcome = pr.todd_coxeter(
             pr.orbifold_quotient(pr.wirtinger(diagram)), 200_000
@@ -116,7 +116,7 @@ def test_acceptance_4_determinant_coherence(corpus_summary):
 def test_acceptance_5_two_bridge_cyclic_correspondence():
     t0 = time.perf_counter()
     for p, q in [(3, 1), (5, 3), (7, 3), (9, 5), (15, 4)]:
-        report = an.analyze(kn.two_bridge(p, q, name=f"b({p},{q})"))
+        report = an.analyze(kn.two_bridge(p, q), name=f"b({p},{q})")
         assert report.classification == an.CYCLIC
         assert report.cyclic_order == p
     _report(5, "two-bridge family classifies cyclic(p)", t0, 60)

@@ -18,14 +18,14 @@ TREFOIL_PD = "[(1,4,2,5),(3,6,4,1),(5,2,6,3)]"
 
 
 def test_analyze_trefoil():
-    r = an.analyze(kn.parse_pd(TREFOIL_PD, name="trefoil"))
+    r = an.analyze(kn.parse_pd(TREFOIL_PD), name="trefoil")
     assert r.determinant == 3
     assert r.cover_order == 3
     assert r.classification == an.CYCLIC and r.cyclic_order == 3
 
 
 def test_analyze_torus_3_5_icosahedral():
-    r = an.analyze(kn.braid_to_diagram(kn.torus_knot(3, 5), name="t35"))
+    r = an.analyze(kn.braid_to_diagram(kn.torus_knot(3, 5)), name="t35")
     assert r.determinant == 1
     assert r.cover_order == 120
     assert r.classification == an.ICOSAHEDRAL
@@ -33,7 +33,7 @@ def test_analyze_torus_3_5_icosahedral():
 
 
 def test_analyze_torus_3_4_tetrahedral():
-    r = an.analyze(kn.braid_to_diagram(kn.torus_knot(3, 4), name="t34"))
+    r = an.analyze(kn.braid_to_diagram(kn.torus_knot(3, 4)), name="t34")
     assert r.cover_order == 24
     assert r.classification == an.TETRAHEDRAL
     assert str(r.h1) == "Z/3"
@@ -41,15 +41,21 @@ def test_analyze_torus_3_4_tetrahedral():
 
 
 def test_analyze_unknot():
-    r = an.analyze(kn.parse_pd("[]", name="unknot"))
+    r = an.analyze(kn.parse_pd("[]"), name="unknot")
     assert r.cover_order == 1
     assert r.classification == an.UNKNOT
 
 
 def test_analyze_inconclusive():
-    r = an.analyze(kn.braid_to_diagram(kn.torus_knot(3, 7), name="t37"), coset_cap=2000)
+    r = an.analyze(kn.braid_to_diagram(kn.torus_knot(3, 7)), coset_cap=2000, name="t37")
     assert r.classification == an.INFINITE_OR_UNKNOWN
     assert r.cover_order is None
+
+
+def test_a_report_is_named_by_its_caller():
+    d = kn.two_bridge(5, 2)
+    assert an.analyze(d).name == "knot"
+    assert an.analyze(d, name="").name == ""
 
 
 def _even_determinant(monkeypatch):
@@ -79,7 +85,7 @@ def test_a_broken_cover_rule_raises_before_any_report(monkeypatch, corrupt, mess
     # with det != 1 each stop analyze: no report can break these rules
     corrupt(monkeypatch)
     with pytest.raises(InternalInconsistency, match=message):
-        an.analyze(kn.parse_pd(TREFOIL_PD, name="trefoil"))
+        an.analyze(kn.parse_pd(TREFOIL_PD), name="trefoil")
     out, err = io.StringIO(), io.StringIO()
     assert cli.main(["knot", "analyze", "--pd", TREFOIL_PD], out, err) == 5
     assert out.getvalue() == ""
@@ -88,7 +94,7 @@ def test_a_broken_cover_rule_raises_before_any_report(monkeypatch, corrupt, mess
 
 def test_two_bridge_family_classifies_cyclic():
     for p, q in [(3, 1), (5, 3), (7, 3), (9, 5), (15, 4)]:
-        r = an.analyze(kn.two_bridge(p, q, name=f"b({p},{q})"))
+        r = an.analyze(kn.two_bridge(p, q), name=f"b({p},{q})")
         assert r.classification == an.CYCLIC
         assert r.cyclic_order == p
 
@@ -140,8 +146,8 @@ def test_corpus_parsing_and_payload_dispatch():
     assert len(rows) >= 13
     names = [r[0] for r in rows]
     assert len(set(names)) == len(names)
-    for name, fmt, payload in rows:
-        d = an.diagram_from_payload(fmt, payload, name=name)
+    for _, fmt, payload in rows:
+        d = an.diagram_from_payload(fmt, payload)
         assert d.crossing_count >= 0
     with pytest.raises(ParseError):
         an.diagram_from_payload("nonsense", "1 2")
@@ -203,7 +209,7 @@ def test_run_corpus_reads_back_what_it_stores(tmp_path):
 
 
 def test_report_record_key_order():
-    r = an.analyze(kn.parse_pd(TREFOIL_PD, name="trefoil"))
+    r = an.analyze(kn.parse_pd(TREFOIL_PD), name="trefoil")
     rec = r.to_record()
     assert list(rec.keys()) == [
         "schema",
@@ -225,8 +231,8 @@ def test_empty_corpus():
 
 def test_montesinos_with_finite_cover():
     # the (3,3,1)-pretzel is the two-bridge knot of fraction 15/4
-    m = kn.montesinos(0, [(1, 3), (1, 3), (1, 1)], name="pretzel_3_3_1")
-    r = an.analyze(m)
+    m = kn.montesinos(0, [(1, 3), (1, 3), (1, 1)])
+    r = an.analyze(m, name="pretzel_3_3_1")
     assert r.determinant == 15
     assert r.classification == an.CYCLIC and r.cyclic_order == 15
     b = an.analyze(kn.two_bridge(15, 4))

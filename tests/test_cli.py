@@ -541,6 +541,38 @@ def test_corpus_row_order_does_not_depend_on_the_cache(tmp_path, fmt):
         assert run_cli(argv + cache) == (0, uncached, "")
 
 
+_UNNAMED_ROWS = [
+    ("pd", TREFOIL_PD),
+    ("dt", "4 6 2"),
+    ("braid", "strands=2 1 1 1"),
+    ("torus", "2 5"),
+    ("twobridge", "5 2"),
+    ("montesinos", "e=0; 1/3 1/3 1/1"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_an_empty_name_field_prints_empty_whatever_the_cache(tmp_path, fmt):
+    corpus = tmp_path / "names.tsv"
+    rows = [f"\t{kind}\t{payload}\n" for kind, payload in _UNNAMED_ROWS]
+    corpus.write_text("".join(rows) + "named\ttorus\t2 3\n")
+    argv = ["corpus", "run", "--corpus", str(corpus), "--format", fmt]
+    cached = argv + ["--cache", str(tmp_path / "cache")]
+    uncached = run_cli(argv)
+    assert run_cli(cached) == run_cli(cached) == uncached
+    code, out, err = uncached
+    assert code == 0, err
+    if fmt == "json":
+        names = [json.loads(line)["name"] for line in out.splitlines() if line.startswith("{")]
+    elif fmt == "csv":
+        names = [rec["name"] for rec in csv.DictReader(io.StringIO(out.split("row_errors")[0]))]
+    else:  # an empty name leaves its padded column blank
+        header, *lines, _ = out.splitlines()
+        start, end = header.index("name"), header.index("det")
+        names = [line[start:end].strip() for line in lines]
+    assert names == [""] * len(_UNNAMED_ROWS) + ["named"]
+
+
 def test_corpus_cache_keys_rows_by_payload_not_name(tmp_path):
     cache_dir = str(tmp_path / "cache")
     both = tmp_path / "both.tsv"
@@ -614,6 +646,7 @@ def test_config_unknown_keys_rejected(tmp_path):
         ('{"show_timing": 1}', "'show_timing' must be true or false"),
         ('{"cache_path": 3}', "'cache_path' must be a string or null"),
         ('{"output_format": ["json"]}', "'output_format' must be a string"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "nested too deep", id="nested-too-deep"),
     ],
 )
 def test_config_bad_document_is_a_config_error(tmp_path, text, fragment):
@@ -812,7 +845,8 @@ def _corpus_texts(draw):
     for _ in range(draw(st.integers(0, 4))):
         fmt = draw(st.sampled_from([*sorted(_SHAPED), None])) or draw(_FIELD)
         payload = draw(st.one_of(_SHAPED.get(fmt, _FIELD), _FIELD))
-        lines.append(f"{draw(_FIELD)}\t{fmt}\t{payload}")
+        name = draw(st.one_of(st.just(""), _FIELD))
+        lines.append(f"{name}\t{fmt}\t{payload}")
     if draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=40)))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
@@ -840,9 +874,11 @@ def test_corpus_run_on_an_arbitrary_file_exits_with_a_documented_code(text, fmt)
         corpus = os.path.join(tmp, "fuzz.tsv")
         with open(corpus, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        code, _, _ = run_cli(
-            ["corpus", "run", "--corpus", corpus, "--coset-cap", "500", "--format", fmt]
-        )
+        args = ["corpus", "run", "--corpus", corpus, "--coset-cap", "500", "--format", fmt]
+        code, out, _ = run_cli(args)
+        # a cold and then a warm cache print what the uncached run printed
+        cached = args + ["--cache", os.path.join(tmp, "cache")]
+        assert run_cli(cached)[:2] == run_cli(cached)[:2] == (code, out)
     assert code in (0, 1, 4)
 
 

@@ -70,8 +70,8 @@ def markov_torus_braid(rng, q):
 
 def test_every_finite_corpus_row_matches_the_oracle():
     finite = 0
-    for name, fmt, payload in an.parse_corpus(packaged_corpus_text()):
-        outcome = orbifold_table(an.diagram_from_payload(fmt, payload, name=name))
+    for _, fmt, payload in an.parse_corpus(packaged_corpus_text()):
+        outcome = orbifold_table(an.diagram_from_payload(fmt, payload))
         if outcome.finite:
             assert_matches_oracle(outcome)
             finite += 1
@@ -81,7 +81,7 @@ def test_every_finite_corpus_row_matches_the_oracle():
 def test_cover_abelianization_equals_the_dense_oracle_on_the_corpus():
     finite = 0
     for name, fmt, payload in an.parse_corpus(packaged_corpus_text()):
-        outcome = orbifold_table(an.diagram_from_payload(fmt, payload, name=name))
+        outcome = orbifold_table(an.diagram_from_payload(fmt, payload))
         if outcome.finite:
             _, cover = pr.branched_cover_group(outcome)
             assert cover.abelianization() == snf_oracle.dense_abelianization(cover), name
@@ -282,8 +282,8 @@ def orbifold(diagram):
 
 def test_meridian_cover_matches_the_oracle_on_the_finite_corpus_rows():
     finite = 0
-    for name, fmt, payload in an.parse_corpus(packaged_corpus_text()):
-        pres = orbifold(an.diagram_from_payload(fmt, payload, name=name))
+    for _, fmt, payload in an.parse_corpus(packaged_corpus_text()):
+        pres = orbifold(an.diagram_from_payload(fmt, payload))
         if pr.todd_coxeter(pres, CAP).finite:
             assert_meridian_cover_matches_oracle(pres)
             finite += 1

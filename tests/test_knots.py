@@ -387,7 +387,7 @@ def _outcome(build, *args):
         d = build(*args)
     except SphereCoverError as exc:
         return type(exc), str(exc)
-    return d.name, d.crossings, d.arc_of_edge, d.arc_count
+    return d.crossings, d.arc_of_edge, d.arc_count
 
 
 def _generated_diagrams():
@@ -453,8 +453,8 @@ def pd_tuples(draw):
 @example([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 4)])
 @example([(1, 4, 2), (3, 6, 4, 1), (5, 2, 6, 3)])
 def test_diagram_check_matches_the_oracle(tuples):
-    assert _outcome(kn.diagram_from_pd_tuples, tuples, "x") == _outcome(
-        diagram_oracle.diagram_from_pd_tuples, tuples, "x"
+    assert _outcome(kn.diagram_from_pd_tuples, tuples) == _outcome(
+        diagram_oracle.diagram_from_pd_tuples, tuples
     )
 
 
@@ -467,7 +467,7 @@ def test_every_small_dt_code_matches_the_oracle():
     ]
     assert len(codes) == 4282
     for code in codes:
-        assert _outcome(kn.parse_dt, code, "x") == _outcome(diagram_oracle.parse_dt, code, "x"), code
+        assert _outcome(kn.parse_dt, code) == _outcome(diagram_oracle.parse_dt, code), code
 
 
 # -- the assembler against its oracle ----------------------------------------------
@@ -705,8 +705,8 @@ def test_h1_matches_determinant():
 # the three odd pretzels with their tangles permuted.
 H1_FAMILIES = {
     "corpus": lambda: [
-        an.diagram_from_payload(fmt, payload, name=name)
-        for name, fmt, payload in an.parse_corpus(packaged_corpus_text())
+        an.diagram_from_payload(fmt, payload)
+        for _, fmt, payload in an.parse_corpus(packaged_corpus_text())
     ],
     "two-bridge": lambda: [
         kn.two_bridge(p, q)
@@ -734,7 +734,7 @@ H1_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(H1_FAMILIES))
 def test_h1_double_cover_equals_the_dense_path(family):
     for d in H1_FAMILIES[family]():
-        assert kn.h1_double_cover(d) == snf_oracle.dense_h1(d), d.name
+        assert kn.h1_double_cover(d) == snf_oracle.dense_h1(d), d.pd_text()
 
 
 def test_determinants_odd_on_generated_family():

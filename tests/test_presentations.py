@@ -24,6 +24,7 @@ def test_free_and_cyclic_reduction():
     assert pr.free_reduce((1, -1, 2)) == (2,)
     assert pr.free_reduce((1, 2, -2, -1)) == ()
     assert pr.cyclic_reduce((1, 2, 2, -1)) == (2, 2)
+    assert pr.GroupPresentation.make(2, [(1, 2, -1), (1, -1)]).relators == ((2,),)
 
 
 def test_presentation_rejects_negative_generator_count():
@@ -32,6 +33,9 @@ def test_presentation_rejects_negative_generator_count():
     assert pr.GroupPresentation.make(0, []).ngens == 0
     with pytest.raises(ValidationError, match="out of range"):
         pr.GroupPresentation.make(1, [(2,)])
+    for rel in ((1, 2, -1), ()):
+        with pytest.raises(ValidationError, match="not cyclically reduced"):
+            pr.GroupPresentation(2, (rel,))
 
 
 # -- Wirtinger and quotients ----------------------------------------------------
@@ -117,12 +121,13 @@ def test_braid_closures_reduce_to_the_strand_count(braid):
 
 def test_reduction_never_adds_generators_and_keeps_the_knot_group_homology():
     rows = an.parse_corpus(packaged_corpus_text())
-    diagrams = [an.diagram_from_payload(fmt, payload, name=name) for name, fmt, payload in rows]
+    diagrams = [an.diagram_from_payload(fmt, payload) for _, fmt, payload in rows]
     for d in diagrams + [kn.braid_to_diagram(b) for b in BRAIDS]:
         wirt = pr.wirtinger(d)
+        assert all(r and pr.cyclic_reduce(r) == r for r in wirt.relators), d.pd_text()
         bridge = pr.bridge_presentation(wirt)
-        assert bridge.ngens <= wirt.ngens, d.name
-        assert str(abelianize(bridge)) == "Z", d.name
+        assert bridge.ngens <= wirt.ngens, d.pd_text()
+        assert str(abelianize(bridge)) == "Z", d.pd_text()
 
 
 def hurwitz_orbifold(braid):
@@ -189,12 +194,14 @@ def test_reduction_guard_rejects_a_lost_generator(monkeypatch):
 
 def assert_matches_the_bridge_oracle(diagram):
     wirt = pr.wirtinger(diagram)
-    assert pr.bridge_presentation(wirt) == bridge_oracle.bridge_presentation(wirt), diagram.name
+    assert pr.bridge_presentation(wirt) == bridge_oracle.bridge_presentation(wirt), (
+        diagram.pd_text()
+    )
 
 
 def test_reduction_matches_the_oracle_on_the_corpus():
-    for name, fmt, payload in an.parse_corpus(packaged_corpus_text()):
-        assert_matches_the_bridge_oracle(an.diagram_from_payload(fmt, payload, name=name))
+    for _, fmt, payload in an.parse_corpus(packaged_corpus_text()):
+        assert_matches_the_bridge_oracle(an.diagram_from_payload(fmt, payload))
 
 
 def test_reduction_matches_the_oracle_on_two_bridge_and_two_strand_torus_knots():
@@ -268,14 +275,12 @@ def test_reduction_matches_the_oracle_on_random_braids(braid):
 
 def assert_fox_determinant_matches_the_crossing_matrix(diagram):
     bridge = pr.bridge_presentation(pr.wirtinger(diagram))
-    assert pr.meridian_determinant(bridge) == kn.determinant(diagram), diagram.name
+    assert pr.meridian_determinant(bridge) == kn.determinant(diagram), diagram.pd_text()
 
 
 def test_fox_determinant_matches_the_crossing_matrix_on_the_corpus():
-    for name, fmt, payload in an.parse_corpus(packaged_corpus_text()):
-        assert_fox_determinant_matches_the_crossing_matrix(
-            an.diagram_from_payload(fmt, payload, name=name)
-        )
+    for _, fmt, payload in an.parse_corpus(packaged_corpus_text()):
+        assert_fox_determinant_matches_the_crossing_matrix(an.diagram_from_payload(fmt, payload))
 
 
 def test_fox_determinant_matches_the_crossing_matrix_on_two_bridge_knots():
